@@ -34,6 +34,7 @@
 
 use crate::Table;
 use std::path::Path;
+use std::sync::{mpsc, Mutex};
 use std::time::Instant;
 
 /// What one cell computes: table fragments, scalars for cross-cell
@@ -311,7 +312,9 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
     // count and merge so the outputs can be recombined afterwards.
     let mut assembles = Vec::with_capacity(experiments.len());
     let mut merges: Vec<Vec<Option<MergeFn>>> = Vec::new();
-    let mut units: Vec<(u64, usize, usize, usize, CellFn)> = Vec::new();
+    // (cost, experiment, cell, shard, work)
+    type Unit = (u64, usize, usize, usize, CellFn);
+    let mut units: Vec<Unit> = Vec::new();
     let mut outs: Vec<Vec<Vec<Option<CellOut>>>> = Vec::new();
     for (ei, exp) in experiments.into_iter().enumerate() {
         let mut cell_merges = Vec::with_capacity(exp.cells.len());
@@ -327,20 +330,10 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
         outs.push(cell_slots);
         assembles.push((exp.id, exp.title, exp.assemble));
     }
-    let total_units = units.len();
 
     // Longest-expected-first schedule: stable sort keeps ties in
     // (experiment, cell, shard) order, so the queue is deterministic.
     units.sort_by_key(|u| std::cmp::Reverse(u.0));
-
-    let (work_tx, work_rx) = crossbeam::channel::unbounded::<(usize, usize, usize, CellFn)>();
-    let (done_tx, done_rx) = crossbeam::channel::unbounded::<Done>();
-    for (_, ei, ci, si, work) in units {
-        if work_tx.send((ei, ci, si, work)).is_err() {
-            unreachable!("work queue closed before workers started");
-        }
-    }
-    drop(work_tx);
 
     let mut timing: Vec<ExperimentTiming> = assembles
         .iter()
@@ -361,51 +354,47 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
         spans[d.exp].1 = spans[d.exp].1.max(d.finished);
     };
 
+    let run_unit = |(_, exp, cell, shard, work): Unit| {
+        let started = epoch.elapsed().as_secs_f64();
+        let out = work();
+        let finished = epoch.elapsed().as_secs_f64();
+        Done {
+            exp,
+            cell,
+            shard,
+            out,
+            started,
+            finished,
+        }
+    };
+
     if jobs == 1 {
         // Single worker: run every unit inline on this thread, in queue
         // order. Same results by construction, no thread machinery.
-        drop(done_tx);
-        while let Ok((exp, cell, shard, work)) = work_rx.try_recv() {
-            let started = epoch.elapsed().as_secs_f64();
-            let out = work();
-            let finished = epoch.elapsed().as_secs_f64();
-            record(
-                Done {
-                    exp,
-                    cell,
-                    shard,
-                    out,
-                    started,
-                    finished,
-                },
-                &mut outs,
-            );
+        for unit in units {
+            record(run_unit(unit), &mut outs);
         }
     } else {
+        // The queue is complete before the first worker starts, so a locked
+        // iterator is all the work queue there is.
+        let queue = Mutex::new(units.into_iter());
+        let (done_tx, done_rx) = mpsc::channel();
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                let work_rx = work_rx.clone();
                 let done_tx = done_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((exp, cell, shard, work)) = work_rx.recv() {
-                        let started = epoch.elapsed().as_secs_f64();
-                        let out = work();
-                        let finished = epoch.elapsed().as_secs_f64();
-                        let _ = done_tx.send(Done {
-                            exp,
-                            cell,
-                            shard,
-                            out,
-                            started,
-                            finished,
-                        });
-                    }
+                let (queue, run_unit) = (&queue, &run_unit);
+                scope.spawn(move || loop {
+                    // Its own statement, so the guard drops before the
+                    // unit runs. No holder can panic, hence no poisoning.
+                    let unit = queue.lock().expect("queue lock").next();
+                    let Some(unit) = unit else { break };
+                    let _ = done_tx.send(run_unit(unit));
                 });
             }
             drop(done_tx);
-            drop(work_rx);
-            for _ in 0..total_units {
-                let d = done_rx.recv().expect("worker died with work pending");
+            // Ends when the last worker drops its sender; a worker that
+            // panicked re-panics here when the scope joins it.
+            for d in done_rx {
                 record(d, &mut outs);
             }
         });

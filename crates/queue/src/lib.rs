@@ -6,8 +6,6 @@
 //!
 //! * [`action_queue::ActionQueue`] — the per-partition FIFO the simulated
 //!   engine routes actions through;
-//! * [`concurrent::ConcurrentQueue`] — a real lock-free MPMC queue for
-//!   multi-threaded deployments;
 //! * [`timing`] — what en/dequeues cost: software cache-line hand-offs
 //!   (cross-socket pays the interconnect) vs. the QOLB-style \[8\] hardware
 //!   queue engine;
@@ -18,11 +16,9 @@
 #![deny(missing_docs)]
 
 pub mod action_queue;
-pub mod concurrent;
 pub mod sched;
 pub mod timing;
 
 pub use action_queue::{ActionQueue, QueueStats};
-pub use concurrent::ConcurrentQueue;
 pub use sched::{simulate_chain, ChainReport, ParkPolicy};
 pub use timing::{HwQueueConfig, HwQueueTiming, QueueOpCost, SwQueueParams, SwQueueTiming};

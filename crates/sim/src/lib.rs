@@ -8,7 +8,6 @@
 //! The crate provides:
 //!
 //! * [`time::SimTime`] — picosecond-resolution simulated time;
-//! * [`events::EventQueue`] — a deterministic discrete-event queue;
 //! * [`server`] — analytic FIFO servers and pipelined units;
 //! * [`arbiter::SharedBandwidth`] — weighted arbitration of one path
 //!   between contending clients (the hybrid-engine contention model);
@@ -35,7 +34,6 @@ pub mod cpu;
 pub mod darksilicon;
 pub mod dev;
 pub mod energy;
-pub mod events;
 pub mod fault;
 pub mod fpga;
 pub mod link;

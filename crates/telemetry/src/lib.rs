@@ -46,8 +46,10 @@
 //! ## Overhead budget
 //!
 //! A disabled recorder must be free: every hot-path entry point checks one
-//! `bool` and returns before touching the sink, constructing nothing. The
-//! `telemetry_overhead` criterion bench in `bionic-bench` guards this.
+//! `bool` and returns before touching the sink, constructing nothing
+//! (`bionic-core`'s `disabled_telemetry_records_nothing_and_changes_nothing`
+//! test pins that). What an *enabled* recorder costs on the host is the
+//! `telemetry.trace_overhead_frac` metric of `benchmark/`.
 
 #![deny(missing_docs)]
 

@@ -2,7 +2,7 @@
 //!
 //! "The DORA system eliminates most locking …, leaving the database log as
 //! the main centralized service." This crate supplies that service three
-//! ways, plus everything downstream of it:
+//! ways, plus recovery downstream of it:
 //!
 //! * [`record`] — length-prefixed binary log records with before/after
 //!   images and per-transaction `prev_lsn` chains;
@@ -13,19 +13,15 @@
 //!   [`timing::ConsolidatedLog`]), and the paper's per-socket-aggregating
 //!   hardware engine ([`timing::HwLog`]); group commit to the SSD;
 //! * [`recovery`] — ARIES-style analysis/redo/undo with CLRs, shared with
-//!   the runtime abort path;
-//! * [`logfs`] — §5.4's closing aside made real: a log-structured
-//!   filesystem reusing the same insertion/commit machinery.
+//!   the runtime abort path.
 
 #![deny(missing_docs)]
 
-pub mod logfs;
 pub mod manager;
 pub mod record;
 pub mod recovery;
 pub mod timing;
 
-pub use logfs::{FsError, FsOp, LogFs};
 pub use manager::{LogIter, LogManager};
 pub use record::{ClrAction, LogBody, LogBodyRef, LogRecord, Lsn, TxnId, NULL_LSN};
 pub use recovery::{recover, undo_txn, RecoveryOutcome};

@@ -57,16 +57,7 @@ impl LogManager {
         };
         let mut at = 0;
         while let Some((rec, next)) = LogRecord::decode(&lm.buf, at) {
-            let lsn = base_lsn + at;
-            match rec.body {
-                LogBody::End => {
-                    lm.last_lsn.remove(&rec.txn);
-                }
-                LogBody::Checkpoint { .. } => lm.last_checkpoint = Some(lsn),
-                _ => {
-                    lm.last_lsn.insert(rec.txn, lsn);
-                }
-            }
+            lm.track(rec.txn, base_lsn + at, rec.body.as_ref());
             at = next;
         }
         lm.torn_bytes = lm.buf.len() as Lsn - at;
@@ -152,45 +143,47 @@ impl LogManager {
     /// Append a record for `txn`; returns the full record (with assigned
     /// LSN and chained `prev_lsn`) and its encoded size.
     pub fn append(&mut self, txn: TxnId, body: LogBody) -> (LogRecord, usize) {
-        let prev_lsn = self.last_lsn.get(&txn).copied().unwrap_or(NULL_LSN);
+        let (lsn, prev_lsn, bytes) = self.append_chained(txn, body.as_ref());
         let rec = LogRecord {
-            lsn: self.tail_lsn(),
+            lsn,
             txn,
             prev_lsn,
             body,
         };
-        let bytes = rec.encode();
-        self.buf.extend_from_slice(&bytes);
-        self.appends += 1;
-        match rec.body {
-            LogBody::End => {
-                self.last_lsn.remove(&txn);
-            }
-            LogBody::Checkpoint { .. } => {
-                self.last_checkpoint = Some(rec.lsn);
-            }
-            _ => {
-                self.last_lsn.insert(txn, rec.lsn);
-            }
-        }
-        (rec, bytes.len())
+        (rec, bytes)
     }
 
     /// [`LogManager::append`] for a borrowed body: encodes straight into
-    /// the log tail with no intermediate record or buffers, producing
-    /// exactly the bytes the owned path would. Returns the assigned LSN
-    /// and encoded size.
+    /// the log tail with no intermediate record or buffers. Returns the
+    /// assigned LSN and encoded size.
     pub fn append_ref(&mut self, txn: TxnId, body: LogBodyRef<'_>) -> (Lsn, usize) {
-        let prev_lsn = self.last_lsn.get(&txn).copied().unwrap_or(NULL_LSN);
+        let (lsn, _, bytes) = self.append_chained(txn, body);
+        (lsn, bytes)
+    }
+
+    /// Encode `body` at the tail, chained to `txn`'s previous record.
+    /// Returns `(lsn, prev_lsn, encoded size)`.
+    fn append_chained(&mut self, txn: TxnId, body: LogBodyRef<'_>) -> (Lsn, Lsn, usize) {
         let lsn = self.tail_lsn();
+        let prev_lsn = self.track(txn, lsn, body).unwrap_or(NULL_LSN);
         let bytes = body.encode_append(txn, prev_lsn, &mut self.buf);
         self.appends += 1;
-        if matches!(body, LogBodyRef::End) {
-            self.last_lsn.remove(&txn);
-        } else {
-            self.last_lsn.insert(txn, lsn);
+        (lsn, prev_lsn, bytes)
+    }
+
+    /// Chain bookkeeping for the record of `txn` at `lsn`: `End` retires
+    /// the transaction's chain, a checkpoint becomes the latest one, and
+    /// anything else is the new tail of the chain. Returns the chain's
+    /// previous tail.
+    fn track(&mut self, txn: TxnId, lsn: Lsn, body: LogBodyRef<'_>) -> Option<Lsn> {
+        match body {
+            LogBodyRef::End => self.last_lsn.remove(&txn),
+            LogBodyRef::Checkpoint { .. } => {
+                self.last_checkpoint = Some(lsn);
+                self.last_lsn.get(&txn).copied()
+            }
+            _ => self.last_lsn.insert(txn, lsn),
         }
-        (lsn, bytes)
     }
 
     /// Write a checkpoint recording currently active transactions and the

@@ -11,8 +11,10 @@
 //! action tag — as end-of-valid-log and returns `None`; it never panics on
 //! log bytes, however mangled. That is what lets recovery stop cleanly at a
 //! torn or bit-flipped tail instead of taking the process down.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//!
+//! There is one encoder: [`LogBodyRef::encode_append`] frames a record in
+//! place at the tail of a byte vector, and the owned [`LogRecord::encode`]
+//! goes through it via [`LogBody::as_ref`].
 
 /// Log sequence number: the byte offset of a record in the log.
 pub type Lsn = u64;
@@ -127,27 +129,53 @@ impl LogBody {
         )
     }
 
-    fn kind(&self) -> u8 {
+    /// The borrowed view of this body — what the encoder consumes.
+    pub fn as_ref(&self) -> LogBodyRef<'_> {
         match self {
-            LogBody::Begin => 0,
-            LogBody::Commit => 1,
-            LogBody::Abort => 2,
-            LogBody::End => 3,
-            LogBody::Insert { .. } => 4,
-            LogBody::Update { .. } => 5,
-            LogBody::Delete { .. } => 6,
-            LogBody::Clr { .. } => 7,
-            LogBody::Checkpoint { .. } => 8,
-            LogBody::Prepare { .. } => 9,
+            LogBody::Begin => LogBodyRef::Begin,
+            LogBody::Commit => LogBodyRef::Commit,
+            LogBody::Abort => LogBodyRef::Abort,
+            LogBody::End => LogBodyRef::End,
+            LogBody::Insert { table, rid, after } => LogBodyRef::Insert {
+                table: *table,
+                rid: *rid,
+                after,
+            },
+            LogBody::Update {
+                table,
+                rid,
+                before,
+                after,
+            } => LogBodyRef::Update {
+                table: *table,
+                rid: *rid,
+                before,
+                after,
+            },
+            LogBody::Delete { table, rid, before } => LogBodyRef::Delete {
+                table: *table,
+                rid: *rid,
+                before,
+            },
+            LogBody::Clr { undo_next, action } => LogBodyRef::Clr {
+                undo_next: *undo_next,
+                action,
+            },
+            LogBody::Checkpoint { active, redo_from } => LogBodyRef::Checkpoint {
+                active,
+                redo_from: *redo_from,
+            },
+            LogBody::Prepare { gtxn, coord } => LogBodyRef::Prepare {
+                gtxn: *gtxn,
+                coord: *coord,
+            },
         }
     }
 }
 
-/// A log-record payload by reference — the zero-copy twin of [`LogBody`]
-/// for the hot append path. Encodes to exactly the same bytes as the owned
-/// variant with the same fields (test-enforced); images are borrowed so a
-/// caller can log straight out of its scratch buffers. CLRs and checkpoints
-/// (rare, recovery-side) stay on the owned [`LogBody`] path.
+/// A log-record payload by reference: the view of a [`LogBody`] the
+/// encoder consumes. Images are borrowed, so the hot append path can log
+/// straight out of its scratch buffers without building an owned body.
 #[derive(Debug, Clone, Copy)]
 pub enum LogBodyRef<'a> {
     /// Transaction start.
@@ -187,6 +215,20 @@ pub enum LogBodyRef<'a> {
         /// Pre-image (for undo).
         before: &'a [u8],
     },
+    /// Compensation record (see [`LogBody::Clr`]).
+    Clr {
+        /// Next record to undo for this transaction.
+        undo_next: Lsn,
+        /// The compensating action.
+        action: &'a ClrAction,
+    },
+    /// Checkpoint (see [`LogBody::Checkpoint`]).
+    Checkpoint {
+        /// Active transaction ids and their last LSNs.
+        active: &'a [(TxnId, Lsn)],
+        /// Earliest LSN whose effects might not be on disk.
+        redo_from: Lsn,
+    },
     /// Two-phase-commit prepare vote (see [`LogBody::Prepare`]).
     Prepare {
         /// Cluster-global transaction id.
@@ -196,7 +238,12 @@ pub enum LogBodyRef<'a> {
     },
 }
 
-fn push_image(out: &mut Vec<u8>, img: &[u8]) {
+fn put_row(out: &mut Vec<u8>, table: u32, rid: u64) {
+    out.extend_from_slice(&table.to_le_bytes());
+    out.extend_from_slice(&rid.to_le_bytes());
+}
+
+fn put_image(out: &mut Vec<u8>, img: &[u8]) {
     out.extend_from_slice(&(img.len() as u32).to_le_bytes());
     out.extend_from_slice(img);
 }
@@ -206,7 +253,10 @@ impl LogBodyRef<'_> {
     pub fn is_redoable(&self) -> bool {
         matches!(
             self,
-            LogBodyRef::Insert { .. } | LogBodyRef::Update { .. } | LogBodyRef::Delete { .. }
+            LogBodyRef::Insert { .. }
+                | LogBodyRef::Update { .. }
+                | LogBodyRef::Delete { .. }
+                | LogBodyRef::Clr { .. }
         )
     }
 
@@ -219,14 +269,19 @@ impl LogBodyRef<'_> {
             LogBodyRef::Insert { .. } => 4,
             LogBodyRef::Update { .. } => 5,
             LogBodyRef::Delete { .. } => 6,
+            LogBodyRef::Clr { .. } => 7,
+            LogBodyRef::Checkpoint { .. } => 8,
             LogBodyRef::Prepare { .. } => 9,
         }
     }
 
-    /// Append the full record encoding (`u32 payload_len | u32 checksum |
-    /// payload`) for this body directly to `out`, returning the bytes
-    /// written. Byte-identical to [`LogRecord::encode`] of the owned
-    /// equivalent, without the intermediate buffers.
+    /// Append the full record encoding for this body directly to `out`,
+    /// returning the bytes written:
+    /// `u32 payload_len | u32 fnv1a(payload) | payload`, where the payload is
+    /// `u8 kind | u64 txn | u64 prev | body`. The header is reserved first
+    /// and backfilled once the payload is in place, so nothing is staged in
+    /// an intermediate buffer. The LSN itself is implicit (it is the
+    /// record's offset).
     pub fn encode_append(&self, txn: TxnId, prev_lsn: Lsn, out: &mut Vec<u8>) -> usize {
         let start = out.len();
         out.extend_from_slice(&[0u8; 8]); // length + checksum, backfilled
@@ -236,9 +291,8 @@ impl LogBodyRef<'_> {
         match *self {
             LogBodyRef::Begin | LogBodyRef::Commit | LogBodyRef::Abort | LogBodyRef::End => {}
             LogBodyRef::Insert { table, rid, after } => {
-                out.extend_from_slice(&table.to_le_bytes());
-                out.extend_from_slice(&rid.to_le_bytes());
-                push_image(out, after);
+                put_row(out, table, rid);
+                put_image(out, after);
             }
             LogBodyRef::Update {
                 table,
@@ -246,15 +300,35 @@ impl LogBodyRef<'_> {
                 before,
                 after,
             } => {
-                out.extend_from_slice(&table.to_le_bytes());
-                out.extend_from_slice(&rid.to_le_bytes());
-                push_image(out, before);
-                push_image(out, after);
+                put_row(out, table, rid);
+                put_image(out, before);
+                put_image(out, after);
             }
             LogBodyRef::Delete { table, rid, before } => {
-                out.extend_from_slice(&table.to_le_bytes());
-                out.extend_from_slice(&rid.to_le_bytes());
-                push_image(out, before);
+                put_row(out, table, rid);
+                put_image(out, before);
+            }
+            LogBodyRef::Clr { undo_next, action } => {
+                out.extend_from_slice(&undo_next.to_le_bytes());
+                match action {
+                    ClrAction::Install { table, rid, image } => {
+                        out.push(0);
+                        put_row(out, *table, *rid);
+                        put_image(out, image);
+                    }
+                    ClrAction::Remove { table, rid } => {
+                        out.push(1);
+                        put_row(out, *table, *rid);
+                    }
+                }
+            }
+            LogBodyRef::Checkpoint { active, redo_from } => {
+                out.extend_from_slice(&redo_from.to_le_bytes());
+                out.extend_from_slice(&(active.len() as u32).to_le_bytes());
+                for (t, l) in active {
+                    out.extend_from_slice(&t.to_le_bytes());
+                    out.extend_from_slice(&l.to_le_bytes());
+                }
             }
             LogBodyRef::Prepare { gtxn, coord } => {
                 out.extend_from_slice(&gtxn.to_le_bytes());
@@ -282,24 +356,6 @@ pub struct LogRecord {
     pub body: LogBody,
 }
 
-fn put_image(buf: &mut BytesMut, img: &[u8]) {
-    buf.put_u32_le(img.len() as u32);
-    buf.put_slice(img);
-}
-
-fn get_image(buf: &mut Bytes) -> Option<Vec<u8>> {
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return None;
-    }
-    let img = buf[..len].to_vec();
-    buf.advance(len);
-    Some(img)
-}
-
 /// 32-bit FNV-1a over a byte slice — the per-record payload checksum.
 pub fn fnv1a(bytes: &[u8]) -> u32 {
     let mut h: u32 = 0x811c9dc5;
@@ -310,72 +366,50 @@ pub fn fnv1a(bytes: &[u8]) -> u32 {
     h
 }
 
-impl LogRecord {
-    /// Encode to bytes:
-    /// `u32 payload_len | u32 fnv1a(payload) | payload`, where the payload is
-    /// `u8 kind | u64 txn | u64 prev | body`.
-    /// The LSN itself is implicit (it is the record's offset).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::with_capacity(64);
-        body.put_u8(self.body.kind());
-        body.put_u64_le(self.txn);
-        body.put_u64_le(self.prev_lsn);
-        match &self.body {
-            LogBody::Begin | LogBody::Commit | LogBody::Abort | LogBody::End => {}
-            LogBody::Insert { table, rid, after } => {
-                body.put_u32_le(*table);
-                body.put_u64_le(*rid);
-                put_image(&mut body, after);
-            }
-            LogBody::Update {
-                table,
-                rid,
-                before,
-                after,
-            } => {
-                body.put_u32_le(*table);
-                body.put_u64_le(*rid);
-                put_image(&mut body, before);
-                put_image(&mut body, after);
-            }
-            LogBody::Delete { table, rid, before } => {
-                body.put_u32_le(*table);
-                body.put_u64_le(*rid);
-                put_image(&mut body, before);
-            }
-            LogBody::Clr { undo_next, action } => {
-                body.put_u64_le(*undo_next);
-                match action {
-                    ClrAction::Install { table, rid, image } => {
-                        body.put_u8(0);
-                        body.put_u32_le(*table);
-                        body.put_u64_le(*rid);
-                        put_image(&mut body, image);
-                    }
-                    ClrAction::Remove { table, rid } => {
-                        body.put_u8(1);
-                        body.put_u32_le(*table);
-                        body.put_u64_le(*rid);
-                    }
-                }
-            }
-            LogBody::Checkpoint { active, redo_from } => {
-                body.put_u64_le(*redo_from);
-                body.put_u32_le(active.len() as u32);
-                for (t, l) in active {
-                    body.put_u64_le(*t);
-                    body.put_u64_le(*l);
-                }
-            }
-            LogBody::Prepare { gtxn, coord } => {
-                body.put_u64_le(*gtxn);
-                body.put_u32_le(*coord);
-            }
+/// Bounds-checked reader over a record payload: every getter returns `None`
+/// instead of reading past the end, which is what keeps [`LogRecord::decode`]
+/// panic-free on a payload whose fields claim more bytes than it holds.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.0.len() < n {
+            return None;
         }
-        let mut out = Vec::with_capacity(8 + body.len());
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        out.extend_from_slice(&body);
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+
+    fn row(&mut self) -> Option<(u32, u64)> {
+        Some((self.u32()?, self.u64()?))
+    }
+
+    fn image(&mut self) -> Option<Vec<u8>> {
+        let len = self.u32()? as usize;
+        Some(self.take(len)?.to_vec())
+    }
+}
+
+impl LogRecord {
+    /// Encode to bytes (the layout is [`LogBodyRef::encode_append`]'s).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(64);
+        self.body
+            .as_ref()
+            .encode_append(self.txn, self.prev_lsn, &mut out);
         out
     }
 
@@ -384,51 +418,31 @@ impl LogRecord {
     /// any corruption (checksum mismatch, invalid kind/action tag, payload
     /// shorter than its fields claim) — decode never panics on log bytes.
     pub fn decode(log: &[u8], lsn: Lsn) -> Option<(LogRecord, Lsn)> {
-        let off = lsn as usize;
-        if off + 8 > log.len() {
-            return None;
-        }
-        let body_len = u32::from_le_bytes(log[off..off + 4].try_into().unwrap()) as usize;
-        if off + 8 + body_len > log.len() {
-            return None;
-        }
-        let csum = u32::from_le_bytes(log[off + 4..off + 8].try_into().unwrap());
-        let payload = &log[off + 8..off + 8 + body_len];
+        let mut frame = Cursor(log.get(usize::try_from(lsn).ok()?..)?);
+        let body_len = frame.u32()?;
+        let csum = frame.u32()?;
+        let payload = frame.take(body_len as usize)?;
         if fnv1a(payload) != csum {
             return None;
         }
-        let mut buf = Bytes::copy_from_slice(payload);
-        if buf.remaining() < 17 {
-            return None;
-        }
-        let kind = buf.get_u8();
-        let txn = buf.get_u64_le();
-        let prev_lsn = buf.get_u64_le();
+        let mut buf = Cursor(payload);
+        let kind = buf.u8()?;
+        let txn = buf.u64()?;
+        let prev_lsn = buf.u64()?;
         let body = match kind {
             0 => LogBody::Begin,
             1 => LogBody::Commit,
             2 => LogBody::Abort,
             3 => LogBody::End,
             4 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                let table = buf.get_u32_le();
-                let rid = buf.get_u64_le();
-                LogBody::Insert {
-                    table,
-                    rid,
-                    after: get_image(&mut buf)?,
-                }
+                let (table, rid) = buf.row()?;
+                let after = buf.image()?;
+                LogBody::Insert { table, rid, after }
             }
             5 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                let table = buf.get_u32_le();
-                let rid = buf.get_u64_le();
-                let before = get_image(&mut buf)?;
-                let after = get_image(&mut buf)?;
+                let (table, rid) = buf.row()?;
+                let before = buf.image()?;
+                let after = buf.image()?;
                 LogBody::Update {
                     table,
                     rid,
@@ -437,83 +451,51 @@ impl LogRecord {
                 }
             }
             6 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                let table = buf.get_u32_le();
-                let rid = buf.get_u64_le();
-                LogBody::Delete {
-                    table,
-                    rid,
-                    before: get_image(&mut buf)?,
-                }
+                let (table, rid) = buf.row()?;
+                let before = buf.image()?;
+                LogBody::Delete { table, rid, before }
             }
             7 => {
-                if buf.remaining() < 9 {
-                    return None;
-                }
-                let undo_next = buf.get_u64_le();
-                let action = match buf.get_u8() {
-                    0 => {
-                        if buf.remaining() < 12 {
-                            return None;
-                        }
-                        let table = buf.get_u32_le();
-                        let rid = buf.get_u64_le();
-                        ClrAction::Install {
-                            table,
-                            rid,
-                            image: get_image(&mut buf)?,
-                        }
-                    }
-                    1 => {
-                        if buf.remaining() < 12 {
-                            return None;
-                        }
-                        let table = buf.get_u32_le();
-                        let rid = buf.get_u64_le();
-                        ClrAction::Remove { table, rid }
-                    }
+                let undo_next = buf.u64()?;
+                let tag = buf.u8()?;
+                let (table, rid) = buf.row()?;
+                let action = match tag {
+                    0 => ClrAction::Install {
+                        table,
+                        rid,
+                        image: buf.image()?,
+                    },
+                    1 => ClrAction::Remove { table, rid },
                     _ => return None,
                 };
                 LogBody::Clr { undo_next, action }
             }
             8 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                let redo_from = buf.get_u64_le();
-                let n = buf.get_u32_le() as usize;
-                if buf.remaining() < n.checked_mul(16)? {
-                    return None;
-                }
+                let redo_from = buf.u64()?;
+                let n = buf.u32()? as usize;
+                // Bound the claimed count by the bytes present before
+                // allocating for it.
+                let mut pairs = Cursor(buf.take(n.checked_mul(16)?)?);
                 let mut active = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let t = buf.get_u64_le();
-                    let l = buf.get_u64_le();
-                    active.push((t, l));
+                    active.push((pairs.u64()?, pairs.u64()?));
                 }
                 LogBody::Checkpoint { active, redo_from }
             }
             9 => {
-                if buf.remaining() < 12 {
-                    return None;
-                }
-                let gtxn = buf.get_u64_le();
-                let coord = buf.get_u32_le();
+                let gtxn = buf.u64()?;
+                let coord = buf.u32()?;
                 LogBody::Prepare { gtxn, coord }
             }
             _ => return None,
         };
-        Some((
-            LogRecord {
-                lsn,
-                txn,
-                prev_lsn,
-                body,
-            },
-            lsn + 8 + body_len as u64,
-        ))
+        let rec = LogRecord {
+            lsn,
+            txn,
+            prev_lsn,
+            body,
+        };
+        Some((rec, lsn + 8 + Lsn::from(body_len)))
     }
 
     /// Encoded size in bytes.

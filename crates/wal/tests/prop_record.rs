@@ -133,6 +133,24 @@ proptest! {
     }
 
     #[test]
+    fn well_framed_arbitrary_payloads_never_panic_the_field_parser(
+        kind in 0u8..12,
+        rest in prop::collection::vec(any::<u8>(), 0..201),
+    ) {
+        // Random log bytes die at the checksum, so give an arbitrary
+        // payload a correct length and checksum: the field parser behind
+        // them must accept or reject it, never panic or read past it.
+        let mut payload = vec![kind];
+        payload.extend_from_slice(&rest);
+        let mut log = (payload.len() as u32).to_le_bytes().to_vec();
+        log.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        log.extend_from_slice(&payload);
+        if let Some((_, next)) = LogRecord::decode(&log, 0) {
+            prop_assert_eq!(next as usize, log.len());
+        }
+    }
+
+    #[test]
     fn back_to_back_records_decode_sequentially(
         bodies in prop::collection::vec(body(), 1..16),
     ) {

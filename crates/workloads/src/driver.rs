@@ -4,7 +4,7 @@
 use bionic_core::breakdown::TimeBreakdown;
 use bionic_core::engine::Engine;
 use bionic_core::ops::TxnProgram;
-use bionic_sim::energy::{Energy, EnergyDomain};
+use bionic_sim::energy::{Energy, EnergyDomain, EnergyMeter};
 use bionic_sim::stats::{Histogram, Summary};
 use bionic_sim::time::SimTime;
 use std::collections::BTreeMap;
@@ -53,6 +53,74 @@ impl WorkloadReport {
     }
 }
 
+/// The measurement scaffold every driver loop shares: engine counters are
+/// captured at entry and reported relative to that point, so back-to-back
+/// runs on one engine stay comparable.
+pub(crate) struct Measurement {
+    breakdown_before: TimeBreakdown,
+    energy_before: EnergyMeter,
+    committed_before: u64,
+    submitted_before: u64,
+    aborted_before: u64,
+    /// Engine completion horizon at entry: arrival offsets are added to it.
+    pub(crate) base: SimTime,
+    per_type: BTreeMap<&'static str, Histogram>,
+}
+
+impl Measurement {
+    pub(crate) fn begin(engine: &Engine) -> Self {
+        Measurement {
+            breakdown_before: engine.breakdown.clone(),
+            energy_before: engine.platform.energy.clone(),
+            committed_before: engine.stats.committed,
+            submitted_before: engine.stats.submitted,
+            aborted_before: engine.stats.aborted,
+            base: engine.stats.last_completion,
+            per_type: BTreeMap::new(),
+        }
+    }
+
+    /// Count one transaction of type `label` and its latency.
+    pub(crate) fn record(&mut self, label: &'static str, latency: SimTime) {
+        self.per_type.entry(label).or_default().record(latency);
+    }
+
+    /// Simulated time the run has covered so far.
+    pub(crate) fn elapsed(&self, engine: &Engine) -> SimTime {
+        engine.stats.last_completion.saturating_sub(self.base)
+    }
+
+    pub(crate) fn finish(self, engine: &Engine) -> WorkloadReport {
+        let committed = engine.stats.committed - self.committed_before;
+        let elapsed = self.elapsed(engine);
+        let energy = engine.platform.energy.since(&self.energy_before);
+        WorkloadReport {
+            submitted: engine.stats.submitted - self.submitted_before,
+            committed,
+            aborted: engine.stats.aborted - self.aborted_before,
+            throughput_per_sec: if elapsed.is_zero() {
+                0.0
+            } else {
+                committed as f64 / elapsed.as_secs()
+            },
+            latency: engine.stats.latency.summary(),
+            breakdown: engine.breakdown.since(&self.breakdown_before),
+            joules_per_txn: if committed == 0 {
+                0.0
+            } else {
+                energy.total().as_j() / committed as f64
+            },
+            energy: energy.snapshot(),
+            per_type: self.per_type.iter().map(|(&k, h)| (k, h.count())).collect(),
+            per_type_latency: self
+                .per_type
+                .into_iter()
+                .map(|(k, h)| (k, h.summary()))
+                .collect(),
+        }
+    }
+}
+
 /// A transaction source that refills caller-owned program slots — the
 /// zero-allocation counterpart of the `FnMut() -> (label, program)`
 /// closures [`run`] and [`run_batched`] take. The two-step protocol lets
@@ -70,148 +138,64 @@ pub trait PooledSource {
 }
 
 /// Run `n` transactions drawn from `next`, arriving `inter_arrival` apart
-/// (open loop). Measurement state is taken relative to the engine's state
-/// at entry, so back-to-back runs on one engine stay comparable.
+/// (open loop), one [`Engine::submit`] each. Measurement state is taken
+/// relative to the engine's state at entry, so back-to-back runs on one
+/// engine stay comparable.
 pub fn run(
     engine: &mut Engine,
     n: u64,
     inter_arrival: SimTime,
     mut next: impl FnMut() -> (&'static str, TxnProgram),
 ) -> WorkloadReport {
-    let breakdown_before = engine.breakdown.clone();
-    let energy_before = engine.platform.energy.clone();
-    let committed_before = engine.stats.committed;
-    let submitted_before = engine.stats.submitted;
-    let aborted_before = engine.stats.aborted;
-
-    let mut per_type: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut per_type_hist: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-    let mut at = SimTime::ZERO;
-    let start_completion = engine.stats.last_completion;
-    for _ in 0..n {
+    let mut m = Measurement::begin(engine);
+    for i in 0..n {
         let (label, prog) = next();
-        *per_type.entry(label).or_insert(0) += 1;
-        let outcome = engine.submit(&prog, start_completion + at);
-        per_type_hist
-            .entry(label)
-            .or_default()
-            .record(outcome.latency());
-        at += inter_arrival;
+        let outcome = engine.submit(&prog, m.base + inter_arrival * i);
+        m.record(label, outcome.latency());
+    }
+    m.finish(engine)
+}
+
+/// A closure source seen as a [`PooledSource`]: `fill` moves the drawn
+/// program into the slot instead of rebuilding it in place.
+struct ClosureSource<F> {
+    next: F,
+    drawn: Option<TxnProgram>,
+}
+
+impl<F: FnMut() -> (&'static str, TxnProgram)> PooledSource for ClosureSource<F> {
+    fn next_label(&mut self) -> &'static str {
+        let (label, prog) = (self.next)();
+        self.drawn = Some(prog);
+        label
     }
 
-    let committed = engine.stats.committed - committed_before;
-    let elapsed = engine
-        .stats
-        .last_completion
-        .saturating_sub(start_completion);
-    let energy = engine.platform.energy.since(&energy_before);
-    WorkloadReport {
-        submitted: engine.stats.submitted - submitted_before,
-        committed,
-        aborted: engine.stats.aborted - aborted_before,
-        throughput_per_sec: if elapsed.is_zero() {
-            0.0
-        } else {
-            committed as f64 / elapsed.as_secs()
-        },
-        latency: engine.stats.latency.summary(),
-        breakdown: engine.breakdown.since(&breakdown_before),
-        joules_per_txn: if committed == 0 {
-            0.0
-        } else {
-            energy.total().as_j() / committed as f64
-        },
-        energy: energy.snapshot(),
-        per_type,
-        per_type_latency: per_type_hist
-            .into_iter()
-            .map(|(k, h)| (k, h.summary()))
-            .collect(),
+    fn fill(&mut self, prog: &mut TxnProgram) {
+        *prog = self.drawn.take().expect("fill follows next_label");
     }
 }
 
 /// Like [`run`], but transactions are handed to the engine in groups of
-/// `batch_size` through [`Engine::submit_batch`], so same-table probes
-/// within a group share their index descents (PALM-style amortization).
-/// Arrival times, commit/abort outcomes, and all functional state match
-/// [`run`] exactly; only probe pricing differs. `batch_size == 1`
-/// degenerates to per-transaction submission.
+/// `batch_size` through the batch planner, so same-table probes within a
+/// group share their index descents (PALM-style amortization). Arrival
+/// times, commit/abort outcomes, and all functional state match [`run`]
+/// exactly; only probe pricing differs. This is [`run_batched_pooled`]
+/// for sources that build a fresh program per transaction.
 pub fn run_batched(
     engine: &mut Engine,
     n: u64,
     inter_arrival: SimTime,
     batch_size: usize,
-    mut next: impl FnMut() -> (&'static str, TxnProgram),
+    next: impl FnMut() -> (&'static str, TxnProgram),
 ) -> WorkloadReport {
-    let batch_size = batch_size.max(1);
-    let breakdown_before = engine.breakdown.clone();
-    let energy_before = engine.platform.energy.clone();
-    let committed_before = engine.stats.committed;
-    let submitted_before = engine.stats.submitted;
-    let aborted_before = engine.stats.aborted;
-
-    let mut per_type: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut per_type_hist: BTreeMap<&'static str, Histogram> = BTreeMap::new();
-    let mut at = SimTime::ZERO;
-    let start_completion = engine.stats.last_completion;
-    let mut remaining = n;
-    while remaining > 0 {
-        let take = (remaining as usize).min(batch_size);
-        let mut labels = Vec::with_capacity(take);
-        let mut programs = Vec::with_capacity(take);
-        for _ in 0..take {
-            let (label, prog) = next();
-            *per_type.entry(label).or_insert(0) += 1;
-            labels.push(label);
-            programs.push(prog);
-        }
-        let outcomes = engine.submit_batch(&programs, start_completion + at, inter_arrival);
-        for (label, outcome) in labels.iter().zip(&outcomes) {
-            per_type_hist
-                .entry(label)
-                .or_default()
-                .record(outcome.latency());
-        }
-        at += inter_arrival * take as u64;
-        remaining -= take as u64;
-    }
-
-    let committed = engine.stats.committed - committed_before;
-    let elapsed = engine
-        .stats
-        .last_completion
-        .saturating_sub(start_completion);
-    let energy = engine.platform.energy.since(&energy_before);
-    WorkloadReport {
-        submitted: engine.stats.submitted - submitted_before,
-        committed,
-        aborted: engine.stats.aborted - aborted_before,
-        throughput_per_sec: if elapsed.is_zero() {
-            0.0
-        } else {
-            committed as f64 / elapsed.as_secs()
-        },
-        latency: engine.stats.latency.summary(),
-        breakdown: engine.breakdown.since(&breakdown_before),
-        joules_per_txn: if committed == 0 {
-            0.0
-        } else {
-            energy.total().as_j() / committed as f64
-        },
-        energy: energy.snapshot(),
-        per_type,
-        per_type_latency: per_type_hist
-            .into_iter()
-            .map(|(k, h)| (k, h.summary()))
-            .collect(),
-    }
+    let mut src = ClosureSource { next, drawn: None };
+    run_batched_pooled(engine, n, inter_arrival, batch_size, &mut src)
 }
 
-/// Like [`run_batched`], but the transaction stream comes from a
-/// [`PooledSource`] and programs live in driver-owned per-label pools that
-/// are refilled in place batch after batch — the steady-state loop
-/// allocates nothing per transaction. Arrival times, outcomes, pricing,
-/// and the report all match [`run_batched`] over the same stream exactly.
+/// The batched loop: the transaction stream comes from a [`PooledSource`]
+/// and programs live in driver-owned per-label pools that are refilled in
+/// place batch after batch — with a source that reuses the slot's buffers
+/// the steady-state loop allocates nothing per transaction.
 pub fn run_batched_pooled(
     engine: &mut Engine,
     n: u64,
@@ -220,14 +204,7 @@ pub fn run_batched_pooled(
     src: &mut impl PooledSource,
 ) -> WorkloadReport {
     let batch_size = batch_size.max(1);
-    let breakdown_before = engine.breakdown.clone();
-    let energy_before = engine.platform.energy.clone();
-    let committed_before = engine.stats.committed;
-    let submitted_before = engine.stats.submitted;
-    let aborted_before = engine.stats.aborted;
-
-    let mut per_type: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut per_type_hist: BTreeMap<&'static str, Histogram> = BTreeMap::new();
+    let mut m = Measurement::begin(engine);
     // One program pool per label, each holding up to a batch's worth of
     // reusable slots; `order` maps batch position -> (pool, slot).
     let mut pools: Vec<(&'static str, Vec<TxnProgram>)> = Vec::new();
@@ -235,7 +212,6 @@ pub fn run_batched_pooled(
     let mut order: Vec<(usize, usize)> = Vec::with_capacity(batch_size);
     let mut outcomes = Vec::with_capacity(batch_size);
     let mut at = SimTime::ZERO;
-    let start_completion = engine.stats.last_completion;
     let mut remaining = n;
     while remaining > 0 {
         let take = (remaining as usize).min(batch_size);
@@ -243,7 +219,6 @@ pub fn run_batched_pooled(
         used.iter_mut().for_each(|u| *u = 0);
         for _ in 0..take {
             let label = src.next_label();
-            *per_type.entry(label).or_insert(0) += 1;
             let pi = match pools.iter().position(|(l, _)| *l == label) {
                 Some(pi) => pi,
                 None => {
@@ -262,7 +237,7 @@ pub fn run_batched_pooled(
         }
         engine.submit_batch_with(
             take,
-            start_completion + at,
+            m.base + at,
             inter_arrival,
             |i| {
                 let (pi, ki) = order[i];
@@ -271,44 +246,12 @@ pub fn run_batched_pooled(
             &mut outcomes,
         );
         for (k, outcome) in outcomes.iter().enumerate() {
-            per_type_hist
-                .entry(pools[order[k].0].0)
-                .or_default()
-                .record(outcome.latency());
+            m.record(pools[order[k].0].0, outcome.latency());
         }
         at += inter_arrival * take as u64;
         remaining -= take as u64;
     }
-
-    let committed = engine.stats.committed - committed_before;
-    let elapsed = engine
-        .stats
-        .last_completion
-        .saturating_sub(start_completion);
-    let energy = engine.platform.energy.since(&energy_before);
-    WorkloadReport {
-        submitted: engine.stats.submitted - submitted_before,
-        committed,
-        aborted: engine.stats.aborted - aborted_before,
-        throughput_per_sec: if elapsed.is_zero() {
-            0.0
-        } else {
-            committed as f64 / elapsed.as_secs()
-        },
-        latency: engine.stats.latency.summary(),
-        breakdown: engine.breakdown.since(&breakdown_before),
-        joules_per_txn: if committed == 0 {
-            0.0
-        } else {
-            energy.total().as_j() / committed as f64
-        },
-        energy: energy.snapshot(),
-        per_type,
-        per_type_latency: per_type_hist
-            .into_iter()
-            .map(|(k, h)| (k, h.summary()))
-            .collect(),
-    }
+    m.finish(engine)
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! in simulated-time order (ties go to the transaction), so a hybrid run
 //! is a pure function of its config — the property every figure relies on.
 
-use crate::driver::WorkloadReport;
+use crate::driver::{Measurement, WorkloadReport};
 use crate::tatp::{self, TatpConfig, TatpGenerator};
 use bionic_core::engine::Engine;
 use bionic_scan::predicate::{CmpOp, ColPredicate, ScanRequest};
@@ -28,7 +28,6 @@ use bionic_scan::scanner::{scan_dispatch_with, scan_software_with, ScanEval, Sca
 use bionic_sim::stats::{Histogram, Summary};
 use bionic_sim::time::SimTime;
 use bionic_storage::columnar::{Column, ColumnarTable};
-use std::collections::BTreeMap;
 
 /// Configuration of one hybrid run.
 #[derive(Debug, Clone)]
@@ -186,17 +185,10 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
         SimTime::MAX
     };
 
-    // Measurement baselines, mirroring `driver::run`.
-    let breakdown_before = engine.breakdown.clone();
-    let energy_before = engine.platform.energy.clone();
-    let committed_before = engine.stats.committed;
-    let submitted_before = engine.stats.submitted;
-    let aborted_before = engine.stats.aborted;
+    let mut m = Measurement::begin(engine);
     let cache_before = engine.result_cache_stats();
-    let base = engine.stats.last_completion;
+    let base = m.base;
 
-    let mut per_type: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut per_type_hist: BTreeMap<&'static str, Histogram> = BTreeMap::new();
     let mut scan_hist = Histogram::default();
     let mut scans = 0u64;
     let mut scan_matches = 0u64;
@@ -226,12 +218,8 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
         }
         if txn_at <= scan_at {
             let (ty, prog) = generator.next_ref();
-            *per_type.entry(ty.label()).or_insert(0) += 1;
             let outcome = engine.submit(prog, base + txn_at);
-            per_type_hist
-                .entry(ty.label())
-                .or_default()
-                .record(outcome.latency());
+            m.record(ty.label(), outcome.latency());
             txn_i += 1;
         } else {
             // Scan arrivals drive the placement window grid too — without
@@ -289,8 +277,7 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
         }
     }
 
-    let committed = engine.stats.committed - committed_before;
-    let elapsed = engine.stats.last_completion.saturating_sub(base);
+    let elapsed = m.elapsed(engine);
     if let Some(hub) = hub.as_mut() {
         // Close out the grid at the horizon: any full windows the arrival
         // loop never crossed, then one final partial window so the deltas
@@ -304,30 +291,7 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
             hub.capture(elapsed.max(hub.cursor()), engine.tel.metrics());
         }
     }
-    let energy = engine.platform.energy.since(&energy_before);
-    let oltp = WorkloadReport {
-        submitted: engine.stats.submitted - submitted_before,
-        committed,
-        aborted: engine.stats.aborted - aborted_before,
-        throughput_per_sec: if elapsed.is_zero() {
-            0.0
-        } else {
-            committed as f64 / elapsed.as_secs()
-        },
-        latency: engine.stats.latency.summary(),
-        breakdown: engine.breakdown.since(&breakdown_before),
-        joules_per_txn: if committed == 0 {
-            0.0
-        } else {
-            energy.total().as_j() / committed as f64
-        },
-        energy: energy.snapshot(),
-        per_type,
-        per_type_latency: per_type_hist
-            .into_iter()
-            .map(|(k, h)| (k, h.summary()))
-            .collect(),
-    };
+    let oltp = m.finish(engine);
 
     let contention = engine
         .platform
