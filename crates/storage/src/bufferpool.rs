@@ -8,7 +8,6 @@
 
 use crate::disk::DiskManager;
 use crate::page::{Page, PageId};
-use std::collections::HashMap;
 
 /// Footprint of one buffer-pool access, consumed by the cost model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,11 +51,18 @@ struct Frame {
     pins: u32,
 }
 
+/// Page-table entry of a page that is not in any frame.
+const NOT_RESIDENT: u32 = u32::MAX;
+
 /// A CLOCK-replacement buffer pool over a [`DiskManager`].
 pub struct BufferPool {
     capacity: usize,
     frames: Vec<Frame>,
-    map: HashMap<PageId, usize>,
+    /// The page table: frame index by `PageId.0`, [`NOT_RESIDENT`] for a
+    /// page on disk only. Dense because the disk hands ids out
+    /// sequentially; it covers every page faulted in so far, and an id past
+    /// its end is simply not resident.
+    table: Vec<u32>,
     hand: usize,
     disk: DiskManager,
     stats: PoolStats,
@@ -66,10 +72,14 @@ impl BufferPool {
     /// A pool holding at most `capacity` pages over `disk`.
     pub fn new(capacity: usize, disk: DiskManager) -> Self {
         assert!(capacity >= 1);
+        assert!(
+            capacity < NOT_RESIDENT as usize,
+            "frame indexes are stored as u32"
+        );
         BufferPool {
             capacity,
             frames: Vec::with_capacity(capacity),
-            map: HashMap::with_capacity(capacity),
+            table: vec![NOT_RESIDENT; disk.page_count() as usize],
             hand: 0,
             disk,
             stats: PoolStats::default(),
@@ -79,8 +89,18 @@ impl BufferPool {
     /// Allocate a fresh page on disk and fault it in.
     pub fn allocate_page(&mut self) -> (PageId, Access) {
         let id = self.disk.allocate();
-        let access = self.fault_in(id);
+        let (_, access) = self.fault_in(id);
         (id, access)
+    }
+
+    /// The frame holding `id`, if it is resident.
+    #[inline]
+    fn frame_of(&self, id: PageId) -> Option<usize> {
+        let slot = usize::try_from(id.0).ok()?;
+        match self.table.get(slot) {
+            Some(&frame) if frame != NOT_RESIDENT => Some(frame as usize),
+            _ => None,
+        }
     }
 
     fn evict_victim(&mut self) -> (usize, bool) {
@@ -95,81 +115,84 @@ impl BufferPool {
                 self.frames.len()
             );
             steps += 1;
-            let f = &mut self.frames[self.hand];
+            let idx = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            let f = &mut self.frames[idx];
             if f.pins > 0 {
-                self.hand = (self.hand + 1) % self.frames.len();
-            } else if f.referenced {
-                f.referenced = false;
-                self.hand = (self.hand + 1) % self.frames.len();
-            } else {
-                let idx = self.hand;
-                self.hand = (self.hand + 1) % self.frames.len();
-                let dirty = self.frames[idx].dirty;
-                if dirty {
-                    let (pid, page) = {
-                        let f = &self.frames[idx];
-                        (f.page_id, f.page.clone())
-                    };
-                    self.disk.write(pid, &page);
-                    self.stats.dirty_evictions += 1;
-                }
-                self.map.remove(&self.frames[idx].page_id);
-                return (idx, dirty);
+                continue;
             }
+            if f.referenced {
+                f.referenced = false;
+                continue;
+            }
+            let dirty = f.dirty;
+            if dirty {
+                self.disk.write(f.page_id, &f.page);
+                self.stats.dirty_evictions += 1;
+            }
+            self.table[f.page_id.0 as usize] = NOT_RESIDENT;
+            return (idx, dirty);
         }
     }
 
-    fn fault_in(&mut self, id: PageId) -> Access {
-        if let Some(&idx) = self.map.get(&id) {
-            self.frames[idx].referenced = true;
-            self.stats.hits += 1;
-            return Access {
-                hit: true,
-                evicted_dirty: false,
-            };
-        }
+    /// Make `id` resident; returns the frame it is in and the footprint.
+    #[inline]
+    fn fault_in(&mut self, id: PageId) -> (usize, Access) {
+        let Some(idx) = self.frame_of(id) else {
+            return self.fault_in_miss(id);
+        };
+        self.frames[idx].referenced = true;
+        self.stats.hits += 1;
+        let access = Access {
+            hit: true,
+            evicted_dirty: false,
+        };
+        (idx, access)
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn fault_in_miss(&mut self, id: PageId) -> (usize, Access) {
         self.stats.misses += 1;
-        let page = self.disk.read(id);
+        let frame = Frame {
+            page_id: id,
+            page: self.disk.read(id),
+            dirty: false,
+            referenced: true,
+            pins: 0,
+        };
         let mut evicted_dirty = false;
         let idx = if self.frames.len() < self.capacity {
-            self.frames.push(Frame {
-                page_id: id,
-                page,
-                dirty: false,
-                referenced: true,
-                pins: 0,
-            });
+            self.frames.push(frame);
             self.frames.len() - 1
         } else {
             let (idx, dirty) = self.evict_victim();
             evicted_dirty = dirty;
-            self.frames[idx] = Frame {
-                page_id: id,
-                page,
-                dirty: false,
-                referenced: true,
-                pins: 0,
-            };
+            self.frames[idx] = frame;
             idx
         };
-        self.map.insert(id, idx);
-        Access {
+        // `disk.read` has vouched for the id, so it is an index.
+        let slot = id.0 as usize;
+        if slot >= self.table.len() {
+            self.table.resize(slot + 1, NOT_RESIDENT);
+        }
+        self.table[slot] = idx as u32;
+        let access = Access {
             hit: false,
             evicted_dirty,
-        }
+        };
+        (idx, access)
     }
 
     /// Read access to a page through a closure.
     pub fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&Page) -> R) -> (R, Access) {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         (f(&self.frames[idx].page), access)
     }
 
     /// Write access to a page through a closure; marks the page dirty.
     pub fn with_page_mut<R>(&mut self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> (R, Access) {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         let frame = &mut self.frames[idx];
         frame.dirty = true;
         (f(&mut frame.page), access)
@@ -178,8 +201,7 @@ impl BufferPool {
     /// Pin a page: fault it in and exempt it from eviction until every pin
     /// is released. Pins nest; each `pin` needs a matching [`BufferPool::unpin`].
     pub fn pin(&mut self, id: PageId) -> Access {
-        let access = self.fault_in(id);
-        let idx = self.map[&id];
+        let (idx, access) = self.fault_in(id);
         self.frames[idx].pins += 1;
         access
     }
@@ -187,7 +209,7 @@ impl BufferPool {
     /// Release one pin on a resident page. Panics on unbalanced unpin —
     /// that is a latching bug, not a recoverable condition.
     pub fn unpin(&mut self, id: PageId) {
-        let idx = *self.map.get(&id).expect("unpin of non-resident page");
+        let idx = self.frame_of(id).expect("unpin of non-resident page");
         let f = &mut self.frames[idx];
         assert!(f.pins > 0, "unpin of unpinned page {id:?}");
         f.pins -= 1;
@@ -195,41 +217,39 @@ impl BufferPool {
 
     /// Current pin count of a page (0 if not resident).
     pub fn pin_count(&self, id: PageId) -> u32 {
-        self.map.get(&id).map_or(0, |&idx| self.frames[idx].pins)
+        self.frame_of(id).map_or(0, |idx| self.frames[idx].pins)
     }
 
     /// Is the page currently held in a frame?
     pub fn is_resident(&self, id: PageId) -> bool {
-        self.map.contains_key(&id)
+        self.frame_of(id).is_some()
+    }
+
+    /// Write frame `idx` back if it is dirty. Returns true if a write
+    /// happened.
+    fn flush_frame(&mut self, idx: usize) -> bool {
+        let f = &mut self.frames[idx];
+        if !f.dirty {
+            return false;
+        }
+        self.disk.write(f.page_id, &f.page);
+        f.dirty = false;
+        self.stats.flushes += 1;
+        true
     }
 
     /// Flush one page if resident and dirty. Returns true if a write happened.
     pub fn flush(&mut self, id: PageId) -> bool {
-        if let Some(&idx) = self.map.get(&id) {
-            if self.frames[idx].dirty {
-                let page = self.frames[idx].page.clone();
-                self.disk.write(id, &page);
-                self.frames[idx].dirty = false;
-                self.stats.flushes += 1;
-                return true;
-            }
-        }
-        false
+        self.frame_of(id).is_some_and(|idx| self.flush_frame(idx))
     }
 
     /// Flush every dirty page; returns the number written.
     pub fn flush_all(&mut self) -> u64 {
-        let dirty_ids: Vec<PageId> = self
-            .frames
-            .iter()
-            .filter(|f| f.dirty)
-            .map(|f| f.page_id)
-            .collect();
-        let n = dirty_ids.len() as u64;
-        for id in dirty_ids {
-            self.flush(id);
+        let mut written = 0;
+        for idx in 0..self.frames.len() {
+            written += u64::from(self.flush_frame(idx));
         }
-        n
+        written
     }
 
     /// Flush at most `n` dirty pages, chosen deterministically in ascending
@@ -237,18 +257,9 @@ impl BufferPool {
     /// partial background write-back before a crash). Returns the number
     /// actually written.
     pub fn flush_some(&mut self, n: usize) -> u64 {
-        let mut dirty_ids: Vec<PageId> = self
-            .frames
-            .iter()
-            .filter(|f| f.dirty)
-            .map(|f| f.page_id)
-            .collect();
-        dirty_ids.sort_unstable();
         let mut written = 0;
-        for id in dirty_ids.into_iter().take(n) {
-            if self.flush(id) {
-                written += 1;
-            }
+        for id in self.dirty_page_ids().into_iter().take(n) {
+            written += u64::from(self.flush(id));
         }
         written
     }
@@ -419,6 +430,22 @@ mod tests {
     fn unbalanced_unpin_panics() {
         let (mut p, ids) = pool(2, 1);
         p.unpin(ids[0]);
+    }
+
+    #[test]
+    fn lookups_of_unknown_ids_do_not_grow_the_page_table() {
+        let (mut p, ids) = pool(2, 3);
+        let covered = p.table.len();
+        assert_eq!(covered, ids.len());
+        assert!(!p.is_resident(PageId::INVALID));
+        assert_eq!(p.pin_count(PageId::INVALID), 0);
+        assert_eq!(p.pin_count(PageId(1 << 40)), 0);
+        assert!(!p.flush(PageId(covered as u64)));
+        assert_eq!(p.table.len(), covered);
+        // A pool over an existing disk covers it from the start.
+        let reopened = BufferPool::new(2, p.crash());
+        assert_eq!(reopened.table.len(), covered);
+        assert!(!reopened.is_resident(ids[0]));
     }
 
     #[test]

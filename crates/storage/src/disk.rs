@@ -46,10 +46,15 @@ impl DiskManager {
             .clone()
     }
 
-    /// Write a page image back.
+    /// Write a page image back: the bytes are copied into the page's
+    /// existing slot, so a write-back allocates nothing.
     pub fn write(&mut self, id: PageId, page: &Page) {
         self.writes += 1;
-        self.pages[id.0 as usize] = Some(page.clone());
+        self.pages[id.0 as usize]
+            .as_mut()
+            .expect("write of unallocated page")
+            .bytes_mut()
+            .copy_from_slice(page.bytes());
     }
 
     /// `(reads, writes)` so far.

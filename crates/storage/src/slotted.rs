@@ -169,8 +169,13 @@ impl<'a> SlottedPage<'a> {
         len + need_slot <= self.total_free() && len <= MAX_RECORD
     }
 
+    /// The lowest tombstoned slot (offset 0), in one pass over the
+    /// directory bytes.
     fn first_free_slot(&self) -> Option<u16> {
-        (0..self.slot_count()).find(|&i| matches!(self.slot(i), Some((0, _))))
+        let dir = &self.b()[HEADER..HEADER + self.slot_count() as usize * SLOT_BYTES];
+        dir.chunks_exact(SLOT_BYTES)
+            .position(|slot| slot[0] == 0 && slot[1] == 0)
+            .map(|i| i as u16)
     }
 
     /// Slide all live records to the back of the page, eliminating holes.
@@ -195,17 +200,20 @@ impl<'a> SlottedPage<'a> {
         put_u16(self.bm(), OFF_FREE_END, cursor as u16);
     }
 
-    /// Insert a record; returns its slot number.
+    /// Insert a record; returns its slot number: the lowest tombstoned
+    /// slot, else a new one at the end of the directory.
     pub fn insert(&mut self, rec: &[u8]) -> Result<u16, SlotError> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        if !self.can_insert(rec.len()) {
-            return Err(SlotError::PageFull);
-        }
         let reuse = self.first_free_slot();
-        let need_slot = if reuse.is_some() { 0 } else { SLOT_BYTES };
-        if self.contiguous_free() < rec.len() + need_slot {
+        let need = rec.len() + if reuse.is_some() { 0 } else { SLOT_BYTES };
+        // Contiguous space never exceeds total free space, so the O(slots)
+        // sum behind `total_free` is only needed when it falls short.
+        if self.contiguous_free() < need {
+            if self.total_free() < need {
+                return Err(SlotError::PageFull);
+            }
             self.compact();
         }
         let slot = match reuse {

@@ -1,4 +1,5 @@
-//! Buffer-pool invariant property tests.
+//! Buffer-pool property tests: the write-ahead invariant, and a
+//! differential run against a reference pool.
 //!
 //! The write-ahead invariant the chaos harness leans on: the pool may push
 //! a dirty page to disk at any moment (eviction, partial flush), but every
@@ -10,9 +11,9 @@
 //! blended, or unlogged state. Pinned pages must additionally never leave
 //! the pool at all.
 
-use bionic_storage::bufferpool::BufferPool;
+use bionic_storage::bufferpool::{Access, BufferPool, PoolStats};
 use bionic_storage::disk::DiskManager;
-use bionic_storage::page::PageId;
+use bionic_storage::page::{Page, PageId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -40,6 +41,165 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
         (0usize..64).prop_map(PoolOp::Unpin),
         (0usize..8).prop_map(PoolOp::FlushSome),
         Just(PoolOp::Pressure),
+    ]
+}
+
+/// The reference the differential test compares against: the pool's
+/// HashMap page table and CLOCK sweep as they were before the dense table,
+/// with a page reduced to the `u64` stamped in its first eight bytes.
+struct RefPool {
+    capacity: usize,
+    frames: Vec<RefFrame>,
+    map: HashMap<PageId, usize>,
+    hand: usize,
+    disk: Vec<u64>,
+    io: (u64, u64),
+    stats: PoolStats,
+}
+
+struct RefFrame {
+    id: PageId,
+    stamp: u64,
+    dirty: bool,
+    referenced: bool,
+    pins: u32,
+}
+
+fn miss(evicted_dirty: bool) -> Access {
+    Access {
+        hit: false,
+        evicted_dirty,
+    }
+}
+
+impl RefPool {
+    fn new(capacity: usize) -> Self {
+        RefPool {
+            capacity,
+            frames: Vec::new(),
+            map: HashMap::new(),
+            hand: 0,
+            disk: Vec::new(),
+            io: (0, 0),
+            stats: PoolStats::default(),
+        }
+    }
+
+    fn allocate(&mut self) -> (PageId, Access) {
+        let id = PageId(self.disk.len() as u64);
+        self.disk.push(0);
+        (id, self.fault_in(id).1)
+    }
+
+    fn write_back(&mut self, idx: usize) {
+        let f = &mut self.frames[idx];
+        self.disk[f.id.0 as usize] = f.stamp;
+        f.dirty = false;
+        self.io.1 += 1;
+    }
+
+    fn fault_in(&mut self, id: PageId) -> (usize, Access) {
+        if let Some(&idx) = self.map.get(&id) {
+            self.frames[idx].referenced = true;
+            self.stats.hits += 1;
+            let hit = Access {
+                hit: true,
+                evicted_dirty: false,
+            };
+            return (idx, hit);
+        }
+        self.stats.misses += 1;
+        self.io.0 += 1;
+        let frame = RefFrame {
+            id,
+            stamp: self.disk[id.0 as usize],
+            dirty: false,
+            referenced: true,
+            pins: 0,
+        };
+        if self.frames.len() < self.capacity {
+            self.frames.push(frame);
+            self.map.insert(id, self.frames.len() - 1);
+            return (self.frames.len() - 1, miss(false));
+        }
+        let idx = loop {
+            let idx = self.hand;
+            self.hand = (self.hand + 1) % self.frames.len();
+            let f = &mut self.frames[idx];
+            if f.pins == 0 && !f.referenced {
+                break idx;
+            }
+            if f.pins == 0 {
+                f.referenced = false;
+            }
+        };
+        let evicted_dirty = self.frames[idx].dirty;
+        if evicted_dirty {
+            self.write_back(idx);
+            self.stats.dirty_evictions += 1;
+        }
+        self.map.remove(&self.frames[idx].id);
+        self.frames[idx] = frame;
+        self.map.insert(id, idx);
+        (idx, miss(evicted_dirty))
+    }
+
+    fn flush(&mut self, id: PageId) -> bool {
+        match self.map.get(&id) {
+            Some(&idx) if self.frames[idx].dirty => {
+                self.write_back(idx);
+                self.stats.flushes += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn dirty_page_ids(&self) -> Vec<PageId> {
+        let mut ids: Vec<PageId> = self
+            .frames
+            .iter()
+            .filter(|f| f.dirty)
+            .map(|f| f.id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn flush_some(&mut self, n: usize) -> u64 {
+        let ids = self.dirty_page_ids();
+        ids.into_iter().take(n).filter(|&id| self.flush(id)).count() as u64
+    }
+}
+
+fn stamp_of(pg: &Page) -> u64 {
+    u64::from_le_bytes(pg.bytes()[..8].try_into().unwrap())
+}
+
+#[derive(Debug, Clone)]
+enum DiffOp {
+    Allocate,
+    Read(usize),
+    Write(usize),
+    Pin(usize),
+    Unpin(usize),
+    Flush(usize),
+    FlushSome(usize),
+    FlushAll,
+}
+
+fn diff_op() -> impl Strategy<Value = DiffOp> {
+    prop_oneof![
+        Just(DiffOp::Allocate),
+        (0usize..64).prop_map(DiffOp::Read),
+        (0usize..64).prop_map(DiffOp::Read),
+        (0usize..64).prop_map(DiffOp::Write),
+        (0usize..64).prop_map(DiffOp::Write),
+        (0usize..64).prop_map(DiffOp::Pin),
+        (0usize..64).prop_map(DiffOp::Unpin),
+        (0usize..64).prop_map(DiffOp::Flush),
+        (0usize..4).prop_map(DiffOp::FlushSome),
+        Just(DiffOp::FlushAll),
     ]
 }
 
@@ -145,6 +305,102 @@ proptest! {
             let stamp = u64::from_le_bytes(disk.read(*id).bytes()[..8].try_into().unwrap());
             let expect = latest_stamp.get(id).copied().unwrap_or(0);
             prop_assert_eq!(stamp, expect, "page {:?}", id);
+        }
+    }
+
+    #[test]
+    fn dense_page_table_pool_matches_the_hashmap_reference(
+        ops in prop::collection::vec(diff_op(), 1..300),
+        capacity in 1usize..9,
+    ) {
+        let mut pool = BufferPool::new(capacity, DiskManager::new());
+        let mut reference = RefPool::new(capacity);
+        let mut ids: Vec<PageId> = Vec::new();
+        // Pins held per page; at least one frame stays unpinned, or the
+        // next miss (correctly) panics.
+        let mut pins: HashMap<PageId, u32> = HashMap::new();
+        let mut next_stamp = 1u64;
+
+        for op in ops {
+            let pick = |i: usize| ids.get(i % ids.len().max(1)).copied();
+            match op {
+                DiffOp::Allocate => {
+                    let got = pool.allocate_page();
+                    prop_assert_eq!(got, reference.allocate());
+                    ids.push(got.0);
+                }
+                DiffOp::Read(i) => {
+                    let Some(id) = pick(i) else { continue };
+                    let (idx, access) = reference.fault_in(id);
+                    let (page_ok, got) = pool.with_page(id, |pg| {
+                        stamp_of(pg) == reference.frames[idx].stamp
+                            && pg.bytes()[8..].iter().all(|&b| b == 0)
+                    });
+                    prop_assert_eq!(got, access);
+                    prop_assert!(page_ok, "page bytes of {id:?} differ");
+                }
+                DiffOp::Write(i) => {
+                    let Some(id) = pick(i) else { continue };
+                    let (idx, access) = reference.fault_in(id);
+                    reference.frames[idx].stamp = next_stamp;
+                    reference.frames[idx].dirty = true;
+                    let ((), got) = pool.with_page_mut(id, |pg| {
+                        pg.bytes_mut()[..8].copy_from_slice(&next_stamp.to_le_bytes());
+                    });
+                    next_stamp += 1;
+                    prop_assert_eq!(got, access);
+                }
+                DiffOp::Pin(i) => {
+                    let Some(id) = pick(i) else { continue };
+                    if pins.contains_key(&id) || pins.len() + 1 < capacity {
+                        *pins.entry(id).or_default() += 1;
+                        let (idx, access) = reference.fault_in(id);
+                        reference.frames[idx].pins += 1;
+                        prop_assert_eq!(pool.pin(id), access);
+                    }
+                }
+                DiffOp::Unpin(i) => {
+                    let Some(id) = pick(i) else { continue };
+                    if let Some(held) = pins.get_mut(&id) {
+                        *held -= 1;
+                        if *held == 0 {
+                            pins.remove(&id);
+                        }
+                        reference.frames[reference.map[&id]].pins -= 1;
+                        pool.unpin(id);
+                    }
+                }
+                DiffOp::Flush(i) => {
+                    let Some(id) = pick(i) else { continue };
+                    prop_assert_eq!(pool.flush(id), reference.flush(id));
+                }
+                DiffOp::FlushSome(n) => {
+                    prop_assert_eq!(pool.flush_some(n), reference.flush_some(n));
+                }
+                DiffOp::FlushAll => {
+                    prop_assert_eq!(pool.flush_all(), reference.flush_some(usize::MAX));
+                }
+            }
+            prop_assert_eq!(pool.stats(), reference.stats);
+            prop_assert_eq!(pool.disk_io(), reference.io);
+            prop_assert_eq!(pool.resident(), reference.frames.len());
+            prop_assert_eq!(pool.dirty_page_ids(), reference.dirty_page_ids());
+            for id in &ids {
+                let frame = reference.map.get(id).map(|&idx| &reference.frames[idx]);
+                prop_assert_eq!(pool.is_resident(*id), frame.is_some(), "{:?}", id);
+                prop_assert_eq!(pool.pin_count(*id), frame.map_or(0, |f| f.pins), "{:?}", id);
+            }
+            // Ids the pool has never seen are simply not resident.
+            prop_assert!(!pool.is_resident(PageId::INVALID));
+            prop_assert_eq!(pool.pin_count(PageId(ids.len() as u64)), 0);
+        }
+
+        // Crash: what reached the disk must match page for page.
+        let mut disk = pool.crash();
+        for id in &ids {
+            let on_disk = disk.read(*id);
+            prop_assert_eq!(stamp_of(&on_disk), reference.disk[id.0 as usize], "{:?}", id);
+            prop_assert!(on_disk.bytes()[8..].iter().all(|&b| b == 0));
         }
     }
 }

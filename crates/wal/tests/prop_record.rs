@@ -4,7 +4,7 @@
 //! chaos harness bit-flips log bytes and relies on `decode` rejecting every
 //! mutant instead of panicking or mis-decoding.
 
-use bionic_wal::record::{fnv1a, ClrAction, LogBody, LogRecord, Lsn, NULL_LSN};
+use bionic_wal::record::{checksum, ClrAction, LogBody, LogRecord, Lsn, NULL_LSN};
 use proptest::prelude::*;
 
 /// Largest image a record may carry in these tests: a full page, the
@@ -65,7 +65,103 @@ fn body() -> impl Strategy<Value = LogBody> {
             any::<u64>()
         )
             .prop_map(|(active, redo_from)| LogBody::Checkpoint { active, redo_from }),
+        (any::<u64>(), any::<u32>()).prop_map(|(gtxn, coord)| LogBody::Prepare { gtxn, coord }),
     ]
+}
+
+/// One record of each of the ten body kinds (both CLR actions), every
+/// image `image_len` bytes of a non-repeating pattern.
+fn one_of_each_kind(image_len: usize) -> Vec<LogBody> {
+    let image = |salt: u8| -> Vec<u8> {
+        (0..image_len)
+            .map(|i| (i as u8).wrapping_mul(31) ^ salt)
+            .collect()
+    };
+    let (table, rid) = (3, 0x0001_0002_0003);
+    vec![
+        LogBody::Begin,
+        LogBody::Commit,
+        LogBody::Abort,
+        LogBody::End,
+        LogBody::Insert {
+            table,
+            rid,
+            after: image(1),
+        },
+        LogBody::Update {
+            table,
+            rid,
+            before: image(2),
+            after: image(3),
+        },
+        LogBody::Delete {
+            table,
+            rid,
+            before: image(4),
+        },
+        LogBody::Clr {
+            undo_next: 96,
+            action: ClrAction::Install {
+                table,
+                rid,
+                image: image(5),
+            },
+        },
+        LogBody::Clr {
+            undo_next: NULL_LSN,
+            action: ClrAction::Remove { table, rid },
+        },
+        LogBody::Checkpoint {
+            active: vec![(7, 128), (9, 4096)],
+            redo_from: 64,
+        },
+        LogBody::Prepare {
+            gtxn: (1 << 63) | 5,
+            coord: 2,
+        },
+    ]
+}
+
+/// The exhaustive half of the corruption contract: for a well-formed record
+/// of every kind, every single-bit flip anywhere in the frame (length,
+/// checksum, payload) and every truncation is rejected. Image lengths cover
+/// every tail length of the word-wise checksum (0–7 bytes past a word
+/// boundary) up to 512 B.
+#[test]
+fn every_bit_flip_and_every_truncation_of_every_kind_is_rejected() {
+    for image_len in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 100, 512] {
+        for body in one_of_each_kind(image_len) {
+            let rec = LogRecord {
+                lsn: 0,
+                txn: 42,
+                prev_lsn: 17,
+                body,
+            };
+            let clean = rec.encode();
+            assert_eq!(
+                LogRecord::decode(&clean, 0).map(|(r, _)| r),
+                Some(rec.clone())
+            );
+            for cut in 0..clean.len() {
+                assert!(
+                    LogRecord::decode(&clean[..cut], 0).is_none(),
+                    "{:?} cut to {cut} of {} bytes decoded",
+                    rec.body,
+                    clean.len()
+                );
+            }
+            let mut bad = clean.clone();
+            for bit in 0..clean.len() * 8 {
+                bad[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    LogRecord::decode(&bad, 0).is_none(),
+                    "{:?} with bit {bit} flipped decoded",
+                    rec.body
+                );
+                bad[bit / 8] ^= 1 << (bit % 8);
+            }
+        }
+    }
 }
 
 proptest! {
@@ -115,7 +211,7 @@ proptest! {
 
     #[test]
     fn invalid_kind_tags_are_rejected(
-        kind in 9u8..=255,
+        kind in 10u8..=255,
         txn in any::<u64>(),
         prev in any::<u64>(),
         junk in prop::collection::vec(any::<u8>(), 0..64),
@@ -127,7 +223,7 @@ proptest! {
         payload.extend_from_slice(&prev.to_le_bytes());
         payload.extend_from_slice(&junk);
         let mut log = (payload.len() as u32).to_le_bytes().to_vec();
-        log.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        log.extend_from_slice(&checksum(&payload).to_le_bytes());
         log.extend_from_slice(&payload);
         prop_assert!(LogRecord::decode(&log, 0).is_none());
     }
@@ -143,11 +239,23 @@ proptest! {
         let mut payload = vec![kind];
         payload.extend_from_slice(&rest);
         let mut log = (payload.len() as u32).to_le_bytes().to_vec();
-        log.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        log.extend_from_slice(&checksum(&payload).to_le_bytes());
         log.extend_from_slice(&payload);
         if let Some((_, next)) = LogRecord::decode(&log, 0) {
             prop_assert_eq!(next as usize, log.len());
         }
+    }
+
+    #[test]
+    fn trailing_zero_bytes_change_the_checksum(
+        payload in prop::collection::vec(any::<u8>(), 0..64),
+        zeros in 1usize..17,
+    ) {
+        // The last partial word is zero-padded before it is mixed in, so
+        // only the length keeps `payload` and `payload + 0…0` apart.
+        let mut padded = payload.clone();
+        padded.resize(payload.len() + zeros, 0);
+        prop_assert_ne!(checksum(&payload), checksum(&padded));
     }
 
     #[test]

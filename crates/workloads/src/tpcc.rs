@@ -381,7 +381,8 @@ impl TpccGenerator {
         }
 
         // Phase 1: reads + district sequence bump.
-        let mut phase1 = vec![
+        let mut phase1 = Vec::with_capacity(3 + items.len());
+        phase1.extend([
             Action::new(
                 t.warehouse,
                 w,
@@ -410,7 +411,7 @@ impl TpccGenerator {
                     key: keys::customer(w, d, c),
                 }],
             ),
-        ];
+        ]);
         for (idx, &item) in items.iter().enumerate() {
             let key = if rollback && idx == items.len() - 1 {
                 // The spec's intentional abort: an unused item id.
@@ -426,7 +427,7 @@ impl TpccGenerator {
         }
 
         // Phase 2: stock updates (1% remote warehouse per line).
-        let mut phase2 = Vec::new();
+        let mut phase2 = Vec::with_capacity(items.len());
         for &item in &items {
             let supply_w = if self.cfg.warehouses > 1 && self.rng.gen_range(0..100) == 0 {
                 (w + 1) % self.cfg.warehouses
@@ -464,7 +465,17 @@ impl TpccGenerator {
         let ok = keys::order(w, d, o_id);
         let mut order_body = vec![0u8; layout::O_BODY];
         order_body[8..16].copy_from_slice(&ol_cnt.to_le_bytes());
-        let mut phase3 = vec![
+        let mut ol_ops = Vec::with_capacity(ol_cnt as usize);
+        for line in 0..ol_cnt {
+            let mut body = vec![0u8; layout::OL_BODY];
+            body[8..16].copy_from_slice(&self.rng.gen_range(10i64..10_000).to_le_bytes());
+            ol_ops.push(Op::Insert {
+                table: t.orderline,
+                key: keys::orderline(ok, line),
+                record: body,
+            });
+        }
+        let phase3 = vec![
             Action::new(
                 t.order,
                 ok,
@@ -483,18 +494,8 @@ impl TpccGenerator {
                     record: vec![0u8; layout::NO_BODY],
                 }],
             ),
+            Action::new(t.orderline, ok, ol_ops),
         ];
-        let mut ol_ops = Vec::new();
-        for line in 0..ol_cnt {
-            let mut body = vec![0u8; layout::OL_BODY];
-            body[8..16].copy_from_slice(&self.rng.gen_range(10i64..10_000).to_le_bytes());
-            ol_ops.push(Op::Insert {
-                table: t.orderline,
-                key: keys::orderline(ok, line),
-                record: body,
-            });
-        }
-        phase3.push(Action::new(t.orderline, ok, ol_ops));
 
         TxnProgram {
             name: "TPCC-NewOrder",
@@ -593,11 +594,12 @@ impl TpccGenerator {
             table: t.customer,
             key: keys::customer(w, d, c),
         }];
-        let mut phases = vec![vec![Action::new(
+        let mut phases = Vec::with_capacity(2);
+        phases.push(vec![Action::new(
             t.customer,
             keys::customer(w, d, c),
             std::mem::take(&mut ops),
-        )]];
+        )]);
         if o_id > 0 {
             let ok = keys::order(w, d, o_id);
             phases.push(vec![Action::new(
@@ -628,7 +630,8 @@ impl TpccGenerator {
     pub fn delivery(&mut self, w: i64) -> TxnProgram {
         let t = self.tables;
         let carrier: u8 = self.rng.gen_range(1..=10);
-        let mut phase = Vec::new();
+        // Four actions per delivered district.
+        let mut phase = Vec::with_capacity(4 * DISTRICTS as usize);
         for d in 0..DISTRICTS {
             let idx = self.district_index(w, d);
             let Some((o_id, c, ol_cnt)) = self.districts[idx].undelivered.pop_front() else {
@@ -655,7 +658,7 @@ impl TpccGenerator {
                     },
                 }],
             ));
-            let mut ol_ops = Vec::new();
+            let mut ol_ops = Vec::with_capacity(ol_cnt as usize);
             for line in 0..ol_cnt {
                 ol_ops.push(Op::Update {
                     table: t.orderline,
@@ -710,24 +713,31 @@ impl TpccGenerator {
         let dk = keys::district(w, d);
 
         // Distinct items among the last 20 orders (shadow of the OL join).
-        let mut items: Vec<i64> = st
-            .recent
-            .iter()
-            .filter(|(o, _, _)| *o >= lo_order)
-            .flat_map(|(_, _, its)| its.iter().copied())
-            .collect();
+        let window = || st.recent.iter().filter(|(o, _, _)| *o >= lo_order);
+        let mut items: Vec<i64> = Vec::with_capacity(window().map(|(_, _, its)| its.len()).sum());
+        items.extend(window().flat_map(|(_, _, its)| its.iter().copied()));
         items.sort_unstable();
         items.dedup();
 
-        let mut phases = vec![vec![Action::new(
+        // The stock probes: one per distinct item, plus the counting logic.
+        let mut stock_ops = Vec::with_capacity(items.len() + 1);
+        stock_ops.extend(items.iter().map(|&i| Op::Read {
+            table: t.stock,
+            key: keys::stock(w, i),
+        }));
+        stock_ops.push(Op::Compute {
+            instructions: 20 * items.len() as u64 + 100,
+        });
+
+        let read_district = Action::new(
             t.district,
             dk,
             vec![Op::Read {
                 table: t.district,
                 key: dk,
             }],
-        )]];
-        let mut phase2 = vec![Action::new(
+        );
+        let read_order_lines = Action::new(
             t.orderline,
             keys::order(w, d, lo_order),
             vec![Op::ReadRange {
@@ -736,24 +746,11 @@ impl TpccGenerator {
                 hi: keys::orderline(keys::order(w, d, next), 0),
                 limit: 400,
             }],
-        )];
-        // The stock probes: one per distinct item, plus the counting logic.
-        let mut stock_ops: Vec<Op> = items
-            .iter()
-            .map(|&i| Op::Read {
-                table: t.stock,
-                key: keys::stock(w, i),
-            })
-            .collect();
-        stock_ops.push(Op::Compute {
-            instructions: 20 * items.len() as u64 + 100,
-        });
-        phase2.push(Action::new(t.stock, keys::stock(w, 1), stock_ops));
-        phases.push(phase2);
-
+        );
+        let probe_stock = Action::new(t.stock, keys::stock(w, 1), stock_ops);
         TxnProgram {
             name: "TPCC-StockLevel",
-            phases,
+            phases: vec![vec![read_district], vec![read_order_lines, probe_stock]],
             abort_on_missing_read: false,
         }
     }
