@@ -61,6 +61,13 @@ impl Footprint {
     }
 }
 
+/// An in-progress root-to-leaf descent: where [`BTree::step`] and
+/// [`BTree::finish`] stand. Opaque — node ids never leave the crate.
+#[derive(Debug, Clone, Copy)]
+pub struct Cursor {
+    node: u32,
+}
+
 #[derive(Debug, Clone)]
 enum Node<K> {
     Inner {
@@ -229,26 +236,50 @@ impl<K: TreeKey> BTree<K> {
         bsearch_steps(keys.len()) * k.compare_cost()
     }
 
+    /// Start a descent at the root. The cursor is valid until the next
+    /// `&mut self` call (compare [`BTree::version`]).
+    pub fn cursor(&self) -> Cursor {
+        Cursor { node: self.root }
+    }
+
+    /// Move `cur` one inner level toward `k`'s leaf, adding that level to
+    /// `fp`. Returns `false`, touching neither, once `cur` stands on a leaf.
+    ///
+    /// One call is one node's worth of dependent loads, so a caller holding
+    /// many cursors can step them all one level per pass and let the core
+    /// overlap the misses — descents of different keys are independent.
+    #[inline]
+    pub fn step(&self, cur: &mut Cursor, k: &K, fp: &mut Footprint) -> bool {
+        match &self.nodes[cur.node as usize] {
+            Node::Inner { keys, children } => {
+                fp.inner_visited += 1;
+                fp.comparisons += Self::compare_cost_of(keys, k);
+                cur.node = children[Self::locate_child(keys, k)];
+                true
+            }
+            Node::Leaf { .. } => false,
+            Node::Free(_) => unreachable!("descended into free node"),
+        }
+    }
+
+    /// Finish the descent from wherever `cur` stands — any levels still
+    /// below it, then the leaf lookup — adding what it visits to `fp`.
+    #[inline]
+    pub fn finish(&self, mut cur: Cursor, k: &K, fp: &mut Footprint) -> Option<u64> {
+        while self.step(&mut cur, k, fp) {}
+        let Node::Leaf { keys, vals, .. } = &self.nodes[cur.node as usize] else {
+            unreachable!("step stops only on a leaf")
+        };
+        fp.leaves_visited += 1;
+        fp.comparisons += Self::compare_cost_of(keys, k);
+        keys.binary_search(k).ok().map(|i| vals[i])
+    }
+
     /// Point lookup.
     pub fn get(&self, k: &K) -> (Option<u64>, Footprint) {
         let mut fp = Footprint::default();
-        let mut id = self.root;
-        loop {
-            match &self.nodes[id as usize] {
-                Node::Inner { keys, children } => {
-                    fp.inner_visited += 1;
-                    fp.comparisons += Self::compare_cost_of(keys, k);
-                    id = children[Self::locate_child(keys, k)];
-                }
-                Node::Leaf { keys, vals, .. } => {
-                    fp.leaves_visited += 1;
-                    fp.comparisons += Self::compare_cost_of(keys, k);
-                    let v = keys.binary_search(k).ok().map(|i| vals[i]);
-                    return (v, fp);
-                }
-                Node::Free(_) => unreachable!("descended into free node"),
-            }
-        }
+        let v = self.finish(self.cursor(), k, &mut fp);
+        (v, fp)
     }
 
     /// Insert or replace; returns the previous value if any.
@@ -757,18 +788,9 @@ impl<K: TreeKey> BTree<K> {
             return fp;
         }
         // Descend to the leaf containing lo.
-        let mut id = self.root;
-        loop {
-            match &self.nodes[id as usize] {
-                Node::Inner { keys, children } => {
-                    fp.inner_visited += 1;
-                    fp.comparisons += Self::compare_cost_of(keys, lo);
-                    id = children[Self::locate_child(keys, lo)];
-                }
-                Node::Leaf { .. } => break,
-                Node::Free(_) => unreachable!(),
-            }
-        }
+        let mut cur = self.cursor();
+        while self.step(&mut cur, lo, &mut fp) {}
+        let mut id = cur.node;
         // Walk the leaf chain.
         loop {
             let Node::Leaf { keys, vals, next } = &self.nodes[id as usize] else {

@@ -15,7 +15,7 @@ use crate::config::ExecModel;
 use crate::engine::{Engine, LogPath};
 use crate::ops::{Action, Op, TxnProgram};
 use bionic_btree::probe::ProbeOutcome;
-use bionic_btree::tree::Footprint;
+use bionic_btree::tree::{Cursor, Footprint};
 use bionic_sim::arbiter::BwClient;
 use bionic_sim::energy::EnergyDomain;
 use bionic_sim::mem::AccessClass;
@@ -161,6 +161,57 @@ pub(crate) struct ExecScratch {
     /// Batch-planner groups, kept sorted by table id so iteration matches
     /// the `BTreeMap` order the planner used before buffer reuse.
     plan_groups: Vec<(u32, Vec<i64>)>,
+    /// Probes resolved ahead of execution, one per planned probe in
+    /// execution order. Empty outside `submit` / `submit_batch_with`.
+    resolved: Vec<Resolved>,
+    /// The entry the next planned probe consumes.
+    resolved_next: usize,
+    /// In a batch, where in `resolved` each transaction's entries start, so
+    /// one that aborts early cannot misalign its successors.
+    resolved_starts: Vec<usize>,
+}
+
+/// One planned probe descended before its op runs (DESIGN.md "Resolve-ahead
+/// probes"): what `index.get(&key)` returned while the index was at
+/// `version`, and so what it returns for as long as it still is.
+#[derive(Debug)]
+struct Resolved {
+    table: u32,
+    key: i64,
+    version: u64,
+    cursor: Cursor,
+    rid: Option<u64>,
+    fp: Footprint,
+}
+
+impl ExecScratch {
+    /// Consume the next resolved entry — one per planned probe, usable or
+    /// not — and return its `(rid, footprint)` if it is for this probe and
+    /// the index has not changed since it was resolved.
+    fn next_resolved(
+        &mut self,
+        table: u32,
+        key: i64,
+        version: u64,
+    ) -> Option<(Option<u64>, Footprint)> {
+        let e = self.resolved.get(self.resolved_next)?;
+        self.resolved_next += 1;
+        (e.table == table && e.key == key && e.version == version).then_some((e.rid, e.fp))
+    }
+}
+
+/// The probes visible before a program runs: the primary-key probe that
+/// opens every Read/Update/Insert/Delete, in execution order. Batch
+/// planning and resolve-ahead both enumerate exactly these.
+fn planned_probes(program: &TxnProgram) -> impl Iterator<Item = (u32, i64)> + '_ {
+    let ops = program.phases.iter().flatten().flat_map(|a| &a.ops);
+    ops.filter_map(|op| match op {
+        Op::Read { table, key }
+        | Op::Update { table, key, .. }
+        | Op::Insert { table, key, .. }
+        | Op::Delete { table, key } => Some((*table, *key)),
+        _ => None,
+    })
 }
 
 /// Cost of one op: agent-occupying CPU time plus asynchronous tail.
@@ -203,16 +254,17 @@ fn op_span(op: &Op) -> (&'static str, &'static str) {
 
 /// Amortized probe pricing for an in-flight [`Engine::submit_batch`].
 ///
-/// Planning runs the batch's same-table point probes through
-/// [`bionic_btree::tree::BTree::batch_get`] once (PALM \[12\]: sorted keys
-/// share their descent prefix), then hands each executed probe an equal
-/// integer share of the aggregate footprint. Shares conserve the aggregate
-/// exactly — division floors and the final consumer takes the remainder —
-/// so total charged work is independent of consumption order and fully
-/// deterministic.
+/// Planning prices the batch's same-table point probes as one
+/// [`bionic_btree::tree::BTree::batch_footprint`] descent (PALM \[12\]:
+/// sorted keys share their descent prefix), then hands each executed probe
+/// an equal integer share of the aggregate footprint. Shares conserve the
+/// aggregate exactly — division floors and the final consumer takes the
+/// remainder — so total charged work is independent of consumption order
+/// and fully deterministic.
 #[derive(Debug, Default)]
 pub(crate) struct BatchPlan {
-    shares: std::collections::HashMap<u32, PlanShare>,
+    /// Indexed by table id; grows to the highest planned table once.
+    shares: Vec<Option<PlanShare>>,
 }
 
 #[derive(Debug)]
@@ -223,16 +275,21 @@ struct PlanShare {
 
 impl BatchPlan {
     fn insert(&mut self, table: u32, remaining: u32, fp: Footprint) {
-        self.shares.insert(table, PlanShare { remaining, fp });
+        let t = table as usize;
+        if self.shares.len() <= t {
+            self.shares.resize_with(t + 1, || None);
+        }
+        self.shares[t] = Some(PlanShare { remaining, fp });
     }
 
     pub(crate) fn clear(&mut self) {
-        self.shares.clear();
+        self.shares.iter_mut().for_each(|s| *s = None);
     }
 
     /// Take one probe's share of `table`'s planned footprint, if any.
     fn consume(&mut self, table: u32) -> Option<Footprint> {
-        let entry = self.shares.get_mut(&table)?;
+        let slot = self.shares.get_mut(table as usize)?;
+        let entry = slot.as_mut()?;
         let n = entry.remaining;
         let share = if n <= 1 {
             std::mem::take(&mut entry.fp)
@@ -252,7 +309,7 @@ impl BatchPlan {
         };
         entry.remaining = n.saturating_sub(1);
         if entry.remaining == 0 {
-            self.shares.remove(&table);
+            *slot = None;
         }
         Some(share)
     }
@@ -707,7 +764,9 @@ impl Engine {
     /// of Read/Update/Insert/Delete): those consume an amortized share of
     /// the batch footprint when one is available. Probes planning could not
     /// see — the primary hop of a secondary read, range descents — always
-    /// price their live footprint.
+    /// price their live footprint. Planned probes were also resolved ahead
+    /// ([`Engine::resolve_ahead`]); the live walk runs only when the index
+    /// changed since.
     fn timed_probe(
         &mut self,
         table: u32,
@@ -715,7 +774,16 @@ impl Engine {
         now: SimTime,
         use_plan: bool,
     ) -> (Option<u64>, OpCost) {
-        let (rid, live_fp) = self.tables[table as usize].index.get(&key);
+        let index = &self.tables[table as usize].index;
+        let resolved = if use_plan {
+            self.scratch.next_resolved(table, key, index.version())
+        } else {
+            None
+        };
+        // Debug builds re-walk every resolved hit, which makes each tier-1
+        // engine test a differential check of the version rule.
+        debug_assert!(resolved.is_none() || resolved == Some(index.get(&key)));
+        let (rid, live_fp) = resolved.unwrap_or_else(|| index.get(&key));
         let fp = if use_plan {
             self.batch_plan.consume(table).unwrap_or(live_fp)
         } else {
@@ -1300,7 +1368,13 @@ impl Engine {
 
     /// Execute one transaction arriving at `arrive`.
     pub fn submit(&mut self, program: &TxnProgram, arrive: SimTime) -> TxnOutcome {
-        match self.submit_inner(program, arrive, None) {
+        self.submit_one(program, arrive, true)
+    }
+
+    /// `resolve` is false inside a batch, whose planner already resolved
+    /// every transaction's probes.
+    fn submit_one(&mut self, program: &TxnProgram, arrive: SimTime, resolve: bool) -> TxnOutcome {
+        match self.submit_inner(program, arrive, None, resolve) {
             SubmitResult::Done(outcome) => outcome,
             SubmitResult::Prepared { .. } => unreachable!("prepare not requested"),
         }
@@ -1320,7 +1394,7 @@ impl Engine {
         gtxn: u64,
         coord: u32,
     ) -> PrepareOutcome {
-        match self.submit_inner(program, arrive, Some((gtxn, coord))) {
+        match self.submit_inner(program, arrive, Some((gtxn, coord)), true) {
             SubmitResult::Prepared { txn, latency } => PrepareOutcome::Prepared { txn, latency },
             SubmitResult::Done(TxnOutcome::Aborted { reason, latency }) => {
                 PrepareOutcome::Aborted { reason, latency }
@@ -1460,10 +1534,16 @@ impl Engine {
         program: &TxnProgram,
         arrive: SimTime,
         prepare: Option<(u64, u32)>,
+        resolve: bool,
     ) -> SubmitResult {
         if self.fuse_blown() {
             // The "process" is already dead: nothing runs, nothing counts.
             return SubmitResult::Done(TxnOutcome::Interrupted);
+        }
+        if resolve {
+            self.clear_resolved();
+            self.enumerate_probes(program);
+            self.resolve_ahead();
         }
         // Adaptive placement observes on its window grid at arrival time —
         // before this transaction is priced, so the decision it runs under
@@ -1770,6 +1850,9 @@ impl Engine {
         self.scratch.written_tables = written_tables;
         self.scratch.op_marks = op_marks;
         self.scratch.completions = completions;
+        if resolve {
+            self.clear_resolved();
+        }
         if matches!(outcome, SubmitResult::Done(TxnOutcome::Interrupted)) {
             // A blown fuse ends the run mid-transaction: no merges, no
             // further bookkeeping (the "process" died).
@@ -1785,8 +1868,8 @@ impl Engine {
     /// Functionally identical to calling [`Engine::submit`] once per
     /// program — same commits, aborts, log records, and index state. The
     /// difference is probe *pricing*: same-table point probes across the
-    /// batch are planned together through one PALM-style
-    /// [`bionic_btree::tree::BTree::batch_get`] descent (software mode) or
+    /// batch are planned together as one PALM-style
+    /// [`bionic_btree::tree::BTree::batch_footprint`] descent (software mode) or
     /// one amortized pass through the probe engine's outstanding-context
     /// pipeline (bionic mode), so each probe is charged its share of the
     /// shared descent instead of a full root-to-leaf walk. §5.3's "complex
@@ -1820,7 +1903,8 @@ impl Engine {
         self.plan_batch_with(n, &get, arrive);
         let mut at = arrive;
         for i in 0..n {
-            let outcome = self.submit(get(i), at);
+            self.scratch.resolved_next = self.scratch.resolved_starts[i];
+            let outcome = self.submit_one(get(i), at, false);
             let stop = outcome.is_interrupted();
             out.push(outcome);
             if stop {
@@ -1833,12 +1917,67 @@ impl Engine {
         // Shares left by aborted tails are dropped: the planner's aggregate
         // is an upper bound once execution diverges from the plan.
         self.batch_plan.clear();
+        self.clear_resolved();
     }
 
-    /// Build the amortized probe plan for the batch: group planned point
-    /// probes by table and run each group's batched descent once. Groups
-    /// live in scratch, kept sorted by table id, so planning matches the
-    /// ascending-table order of the original `BTreeMap` without allocating.
+    // ---- resolve-ahead probes ---------------------------------------------
+
+    /// Drop every resolved entry. Runs on entry to and exit from `submit` /
+    /// `submit_batch_with`, so an entry never outlives the call that made it
+    /// — in particular not into a recovered engine, whose rebuilt indexes
+    /// restart their versions at 0.
+    fn clear_resolved(&mut self) {
+        self.scratch.resolved.clear();
+        self.scratch.resolved_next = 0;
+    }
+
+    /// Append one unresolved entry per planned probe of `program`.
+    fn enumerate_probes(&mut self, program: &TxnProgram) {
+        for (table, key) in planned_probes(program) {
+            let index = &self.tables[table as usize].index;
+            self.scratch.resolved.push(Resolved {
+                table,
+                key,
+                version: index.version(),
+                cursor: index.cursor(),
+                rid: None,
+                fp: Footprint::default(),
+            });
+        }
+    }
+
+    /// Descend every enumerated probe in lock-step: all entries move one
+    /// tree level per pass, across tables, so consecutive iterations are
+    /// independent loads the core overlaps instead of one dependent chain
+    /// of misses per key. Host time only — nothing here is priced; each
+    /// entry ends up holding exactly what `index.get` returns. A lone probe
+    /// has nothing to overlap with and keeps its live walk.
+    fn resolve_ahead(&mut self) {
+        let resolved = &mut self.scratch.resolved;
+        if resolved.len() < 2 {
+            resolved.clear();
+            return;
+        }
+        let tables = &self.tables;
+        let index_of = |e: &Resolved| &tables[e.table as usize].index;
+        let levels = resolved.iter().map(|e| index_of(e).height()).max();
+        for _ in 1..levels.unwrap_or(1) {
+            for e in resolved.iter_mut() {
+                // A shorter tree's cursor waits on its leaf (`step` no-ops).
+                index_of(e).step(&mut e.cursor, &e.key, &mut e.fp);
+            }
+        }
+        for e in resolved.iter_mut() {
+            e.rid = index_of(e).finish(e.cursor, &e.key, &mut e.fp);
+        }
+    }
+
+    /// Build the amortized probe plan for the batch — group planned point
+    /// probes by table and price each group's batched descent once — and
+    /// resolve the whole batch's probes ahead in one lock-step descent.
+    /// Groups live in scratch, kept sorted by table id, so planning matches
+    /// the ascending-table order of the original `BTreeMap` without
+    /// allocating.
     fn plan_batch_with<'p>(
         &mut self,
         n: usize,
@@ -1846,34 +1985,29 @@ impl Engine {
         now: SimTime,
     ) {
         self.batch_plan.clear();
+        self.clear_resolved();
+        self.scratch.resolved_starts.clear();
+        for i in 0..n {
+            self.scratch
+                .resolved_starts
+                .push(self.scratch.resolved.len());
+            self.enumerate_probes(get(i));
+        }
         let mut groups = std::mem::take(&mut self.scratch.plan_groups);
         for g in &mut groups {
             g.1.clear();
         }
-        for i in 0..n {
-            for phase in &get(i).phases {
-                for action in phase {
-                    for op in &action.ops {
-                        match op {
-                            Op::Read { table, key }
-                            | Op::Update { table, key, .. }
-                            | Op::Insert { table, key, .. }
-                            | Op::Delete { table, key } => {
-                                let g = match groups.binary_search_by_key(table, |g| g.0) {
-                                    Ok(g) => g,
-                                    Err(g) => {
-                                        groups.insert(g, (*table, Vec::new()));
-                                        g
-                                    }
-                                };
-                                groups[g].1.push(*key);
-                            }
-                            _ => {}
-                        }
-                    }
+        for e in &self.scratch.resolved {
+            let g = match groups.binary_search_by_key(&e.table, |g| g.0) {
+                Ok(g) => g,
+                Err(g) => {
+                    groups.insert(g, (e.table, Vec::new()));
+                    g
                 }
-            }
+            };
+            groups[g].1.push(e.key);
         }
+        self.resolve_ahead();
         let mut planned_keys = 0u64;
         for (table, keys) in &mut groups {
             let n = keys.len() as u32;
@@ -1881,7 +2015,7 @@ impl Engine {
                 continue; // a lone probe has nothing to share with
             }
             planned_keys += n as u64;
-            let (_, fp) = self.tables[*table as usize].index.batch_get(keys);
+            let fp = self.tables[*table as usize].index.batch_footprint(keys);
             self.batch_plan.insert(*table, n, fp);
         }
         self.scratch.plan_groups = groups;
@@ -1896,5 +2030,96 @@ impl Engine {
             );
             self.router.submit(now, cpu);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::EngineConfig;
+
+    fn engine() -> Engine {
+        let mut e = Engine::new(EngineConfig::software());
+        let t = e.create_table("t");
+        for k in 0..600 {
+            e.load(t, k, &[0u8; 24]);
+        }
+        e.finish_load();
+        e
+    }
+
+    fn reads(keys: &[i64], abort_on_missing_read: bool) -> TxnProgram {
+        let ops = keys.iter().map(|&key| Op::Read { table: 0, key }).collect();
+        TxnProgram {
+            abort_on_missing_read,
+            ..TxnProgram::single_phase("reads", vec![Action::new(0, keys[0], ops)])
+        }
+    }
+
+    /// Resolved entries never outlive the call that made them — whether it
+    /// commits, aborts before consuming them all, or dies on the fuse — so
+    /// nothing stale can meet a later call (or a rebuilt index whose
+    /// versions restarted).
+    #[test]
+    fn no_resolved_entry_survives_its_call() {
+        let mut e = engine();
+        let insert = |key| {
+            let record = vec![0u8; 24];
+            let ops = vec![
+                Op::Read { table: 0, key: 1 },
+                Op::Insert {
+                    table: 0,
+                    key,
+                    record,
+                },
+                Op::Read { table: 0, key: 2 },
+            ];
+            TxnProgram::single_phase("insert", vec![Action::new(0, 1, ops)])
+        };
+        assert!(e
+            .submit(&reads(&[1, 2, 3], true), SimTime::ZERO)
+            .is_committed());
+        assert!(e.scratch.resolved.is_empty());
+        assert!(!e
+            .submit(&reads(&[1, 7777, 3], true), SimTime::ZERO)
+            .is_committed());
+        assert!(e.scratch.resolved.is_empty());
+        let batch = [
+            reads(&[4, 5], false),
+            reads(&[6, 7777, 8], true),
+            insert(9000),
+        ];
+        assert_eq!(
+            e.submit_batch(&batch, SimTime::ZERO, SimTime::ZERO).len(),
+            3
+        );
+        assert!(e.scratch.resolved.is_empty());
+        assert!(e.batch_plan.shares.iter().all(Option::is_none));
+        e.crash_at(2); // Begin, then the insert's record
+        let cut = e.submit_batch(
+            &[reads(&[1, 2], false), insert(9001)],
+            SimTime::ZERO,
+            SimTime::ZERO,
+        );
+        assert!(cut[1].is_interrupted());
+        assert!(e.scratch.resolved.is_empty());
+    }
+
+    /// A lone probe has nothing to overlap with and is not resolved ahead;
+    /// two or more end up holding what the live walk returns.
+    #[test]
+    fn fewer_than_two_probes_resolve_nothing() {
+        let mut e = engine();
+        e.enumerate_probes(&reads(&[5], false));
+        e.resolve_ahead();
+        assert!(e.scratch.resolved.is_empty());
+        e.enumerate_probes(&reads(&[5, 300], false));
+        e.resolve_ahead();
+        let index = &e.tables[0].index;
+        for r in &e.scratch.resolved {
+            assert_eq!((r.rid, r.fp), index.get(&r.key));
+            assert_eq!(r.version, index.version());
+        }
+        assert_eq!(e.scratch.resolved.len(), 2);
     }
 }

@@ -18,6 +18,17 @@ use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
+/// `x.round() as u64`, bit for bit — half away from zero, negatives and NaN
+/// to 0, saturating at `u64::MAX` — without the call: on baseline x86-64
+/// `f64::round` is an out-of-line routine, and the pricing helpers convert
+/// on every charge. Truncation and the subtraction are exact: below 2^52
+/// the fraction is representable, from there on `x` is an integer.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
+}
+
 impl SimTime {
     /// Time zero — the start of every simulation.
     pub const ZERO: SimTime = SimTime(0);
@@ -33,25 +44,25 @@ impl SimTime {
     /// Construct from nanoseconds (fractional values allowed).
     #[inline]
     pub fn from_ns(ns: f64) -> Self {
-        SimTime((ns * 1e3).round() as u64)
+        SimTime(round_to_u64(ns * 1e3))
     }
 
     /// Construct from microseconds.
     #[inline]
     pub fn from_us(us: f64) -> Self {
-        SimTime((us * 1e6).round() as u64)
+        SimTime(round_to_u64(us * 1e6))
     }
 
     /// Construct from milliseconds.
     #[inline]
     pub fn from_ms(ms: f64) -> Self {
-        SimTime((ms * 1e9).round() as u64)
+        SimTime(round_to_u64(ms * 1e9))
     }
 
     /// Construct from seconds.
     #[inline]
     pub fn from_secs(s: f64) -> Self {
-        SimTime((s * 1e12).round() as u64)
+        SimTime(round_to_u64(s * 1e12))
     }
 
     /// Raw picosecond count.
@@ -159,7 +170,7 @@ impl Mul<f64> for SimTime {
     type Output = SimTime;
     #[inline]
     fn mul(self, rhs: f64) -> SimTime {
-        SimTime((self.0 as f64 * rhs).round() as u64)
+        SimTime(round_to_u64(self.0 as f64 * rhs))
     }
 }
 
