@@ -1423,6 +1423,7 @@ impl Engine {
             .prepared
             .remove(&txn)
             .unwrap_or_else(|| panic!("resolve of unknown prepared txn {txn}"));
+        self.tel.set_txn(txn);
         let t = at;
         if commit {
             let mut commit_cpu = self.sw_work(Category::Xct, 200, 3, AccessClass::Hot);
@@ -1506,6 +1507,7 @@ impl Engine {
         if self.fuse_blown() {
             return None;
         }
+        self.tel.set_txn(gtxn);
         let mut cpu = self.sw_work(Category::Log, 200, 3, AccessClass::Hot);
         let (c1, _, _) = self.log_write(gtxn, LogBodyRef::Begin, 0, at + cpu);
         if self.fuse_blown() {

@@ -866,6 +866,41 @@ fn prepared_branch_rolls_back_on_coordinator_abort() {
     }
 }
 
+/// Spans recorded while a branch is resolved, or a decision logged, carry
+/// that transaction's id — not the id of whatever was submitted last.
+#[test]
+fn resolve_and_decision_spans_carry_their_own_txn_id() {
+    let (mut e, t) = loaded_engine(EngineConfig::bionic().with_agents(4), 100);
+    e.enable_telemetry(1 << 12);
+    let gtxn = 0x8000_0000_0000_0007;
+    let out = e.submit_prepared(&update_txn(t, 5, -70), SimTime::ZERO, gtxn, 0);
+    let bionic_core::PrepareOutcome::Prepared { txn: a, .. } = out else {
+        panic!("expected Prepared, got {out:?}");
+    };
+    assert!(e
+        .submit(&update_txn(t, 6, 1), SimTime::from_us(10.0))
+        .is_committed());
+    let b = e.next_txn_id() - 1;
+    assert_ne!(a, b);
+    assert!(e
+        .resolve_prepared(a, true, SimTime::from_us(50.0))
+        .is_committed());
+    e.log_decision(gtxn, SimTime::from_us(60.0))
+        .expect("no fuse armed");
+    let events = e.tel.events();
+    let txn_of = |name: &str, after_us: f64| {
+        let from = SimTime::from_us(after_us).as_ps();
+        let ev = events
+            .iter()
+            .find(|ev| ev.name == name && ev.start_ps >= from)
+            .unwrap_or_else(|| panic!("no {name} span"));
+        ev.txn
+    };
+    assert_eq!(txn_of("commit", 50.0), a);
+    assert_eq!(txn_of("log-insert", 50.0), a, "the branch's Commit record");
+    assert_eq!(txn_of("decide", 60.0), gtxn);
+}
+
 #[test]
 fn local_failure_votes_no_and_rolls_back() {
     let (mut e, t) = loaded_engine(EngineConfig::bionic(), 10);

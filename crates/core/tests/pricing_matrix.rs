@@ -21,7 +21,10 @@
 //! prepared branches under faults or placement, or CLR inserts on a
 //! degraded log; this does. The digests are recorded from the code as it
 //! stood before the refactor, so a pricing path that moves by one
-//! picosecond, one RNG draw or one span fails here.
+//! picosecond, one RNG draw or one span fails here. (The `trace` column
+//! was re-recorded once, by the fix that makes `resolve_prepared` and
+//! `log_decision` stamp their spans with their own transaction id; `state`
+//! did not move.)
 
 use bionic_core::config::{EngineConfig, ExecModel};
 use bionic_core::engine::Engine;
@@ -566,54 +569,54 @@ fn run(cell: Cell) -> (u64, u64, Coverage) {
 /// `(state, trace)` per cell, in [`cells`] order.
 #[rustfmt::skip]
 const EXPECTED: [(u64, u64); 48] = [
-    (0x78b0163191469bc9, 0x6716f6d5b0fb335c), // Dora software Off
-    (0xf07fa77373ad6480, 0x6716f6d5b0fb335c), // Dora software Off contention
-    (0x1ebecadf1583a020, 0x6716f6d5b0fb335c), // Dora software Off placement
-    (0x3260cf9ac4d054f1, 0x6716f6d5b0fb335c), // Dora software Off placement contention
-    (0x06f398057094a8c6, 0x6716f6d5b0fb335c), // Dora software Uniform
-    (0x3652ca9ce3c915e3, 0x6716f6d5b0fb335c), // Dora software Uniform contention
-    (0xd0c4f5750ec30d85, 0x6716f6d5b0fb335c), // Dora software Uniform placement
-    (0x67ce86404d6ea364, 0x6716f6d5b0fb335c), // Dora software Uniform placement contention
-    (0x06f398057094a8c6, 0x6716f6d5b0fb335c), // Dora software Forced
-    (0x3652ca9ce3c915e3, 0x6716f6d5b0fb335c), // Dora software Forced contention
-    (0xd0c4f5750ec30d85, 0x6716f6d5b0fb335c), // Dora software Forced placement
-    (0x67ce86404d6ea364, 0x6716f6d5b0fb335c), // Dora software Forced placement contention
-    (0x33a57a2575c71dbe, 0x6795234134a01997), // Dora bionic Off
-    (0x853c0d385707a44c, 0xef486842c7b11612), // Dora bionic Off contention
-    (0x7cf0fabbfc2b4e09, 0x6795234134a01997), // Dora bionic Off placement
-    (0xa2e0421fe6951c84, 0x81ddde2b366f613d), // Dora bionic Off placement contention
-    (0xaa964b6403f28a91, 0xde3458cc97ba416c), // Dora bionic Uniform
-    (0x8689b790cedd8a3b, 0x080df2bf32418d21), // Dora bionic Uniform contention
-    (0x252e8e588f8b4794, 0xe12e0473982b037d), // Dora bionic Uniform placement
-    (0xb04c0eb26d148366, 0x3b7ce5ce1d763914), // Dora bionic Uniform placement contention
-    (0xf0b06ea161303457, 0xc0d06da98276b861), // Dora bionic Forced
-    (0x5b872ef786fd3f6e, 0x4325bd5782c32006), // Dora bionic Forced contention
-    (0x82377f91c4753c15, 0x9805fb19aa2bde81), // Dora bionic Forced placement
-    (0x57d0d21d2c956ce8, 0x66f03699068daf3d), // Dora bionic Forced placement contention
-    (0xfe1434e1bb4119c1, 0x8032c0aa13deaa1b), // Conventional software Off
-    (0x393607604fe364cc, 0x8032c0aa13deaa1b), // Conventional software Off contention
-    (0xcb492c0c698f1ac4, 0x8032c0aa13deaa1b), // Conventional software Off placement
-    (0xe8a8ca5dab213b01, 0x8032c0aa13deaa1b), // Conventional software Off placement contention
-    (0x2a64f392af8cc06e, 0x8032c0aa13deaa1b), // Conventional software Uniform
-    (0xcad4dc02ee675c6f, 0x8032c0aa13deaa1b), // Conventional software Uniform contention
-    (0xb4697a5205a292bd, 0x8032c0aa13deaa1b), // Conventional software Uniform placement
-    (0xc66db04006ac0ff8, 0x8032c0aa13deaa1b), // Conventional software Uniform placement contention
-    (0x2a64f392af8cc06e, 0x8032c0aa13deaa1b), // Conventional software Forced
-    (0xcad4dc02ee675c6f, 0x8032c0aa13deaa1b), // Conventional software Forced contention
-    (0xb4697a5205a292bd, 0x8032c0aa13deaa1b), // Conventional software Forced placement
-    (0xc66db04006ac0ff8, 0x8032c0aa13deaa1b), // Conventional software Forced placement contention
-    (0x999153e3573fc9bc, 0x13af5dcef18e0b61), // Conventional bionic Off
-    (0x6ad5136d5f0f7a59, 0x9f46d0b4b97dcf2b), // Conventional bionic Off contention
-    (0xce0bc04e157f30cd, 0x13af5dcef18e0b61), // Conventional bionic Off placement
-    (0x52fdd6c8bc53ebf8, 0x2a14d42d6de5d29b), // Conventional bionic Off placement contention
-    (0xf1424fb4beb728e8, 0x20a7b9b30cfe0e9d), // Conventional bionic Uniform
-    (0xc63dea6e189e4f72, 0x103e11ac9ce15572), // Conventional bionic Uniform contention
-    (0x1e828b9618f79665, 0xbc1c91d4c0899147), // Conventional bionic Uniform placement
-    (0xc37e64f6c4d33e1e, 0x3ade689eef899973), // Conventional bionic Uniform placement contention
-    (0x91a013063768c4f4, 0x72d31aea16ea7217), // Conventional bionic Forced
-    (0xea7d5e031d0f0783, 0x08f6570e67175416), // Conventional bionic Forced contention
-    (0x20b2f472f98adac0, 0xde5109f2a768a995), // Conventional bionic Forced placement
-    (0xa0099c95bd41f39e, 0xf7138bb0f437dcf8), // Conventional bionic Forced placement contention
+    (0x78b0163191469bc9, 0x691cb9f07a9a7801), // Dora software Off
+    (0xf07fa77373ad6480, 0x691cb9f07a9a7801), // Dora software Off contention
+    (0x1ebecadf1583a020, 0x691cb9f07a9a7801), // Dora software Off placement
+    (0x3260cf9ac4d054f1, 0x691cb9f07a9a7801), // Dora software Off placement contention
+    (0x06f398057094a8c6, 0x691cb9f07a9a7801), // Dora software Uniform
+    (0x3652ca9ce3c915e3, 0x691cb9f07a9a7801), // Dora software Uniform contention
+    (0xd0c4f5750ec30d85, 0x691cb9f07a9a7801), // Dora software Uniform placement
+    (0x67ce86404d6ea364, 0x691cb9f07a9a7801), // Dora software Uniform placement contention
+    (0x06f398057094a8c6, 0x691cb9f07a9a7801), // Dora software Forced
+    (0x3652ca9ce3c915e3, 0x691cb9f07a9a7801), // Dora software Forced contention
+    (0xd0c4f5750ec30d85, 0x691cb9f07a9a7801), // Dora software Forced placement
+    (0x67ce86404d6ea364, 0x691cb9f07a9a7801), // Dora software Forced placement contention
+    (0x33a57a2575c71dbe, 0x17e2ef0357104b8f), // Dora bionic Off
+    (0x853c0d385707a44c, 0x27e253abfe06766a), // Dora bionic Off contention
+    (0x7cf0fabbfc2b4e09, 0x17e2ef0357104b8f), // Dora bionic Off placement
+    (0xa2e0421fe6951c84, 0x248f6ee3717c83d4), // Dora bionic Off placement contention
+    (0xaa964b6403f28a91, 0xa9932f486b3675e0), // Dora bionic Uniform
+    (0x8689b790cedd8a3b, 0xf56c7b8c4f444543), // Dora bionic Uniform contention
+    (0x252e8e588f8b4794, 0xf10ad53a9542bbcc), // Dora bionic Uniform placement
+    (0xb04c0eb26d148366, 0xc59a6b6824582b73), // Dora bionic Uniform placement contention
+    (0xf0b06ea161303457, 0x95e8af7b04fe480e), // Dora bionic Forced
+    (0x5b872ef786fd3f6e, 0xa97cfee258dbd795), // Dora bionic Forced contention
+    (0x82377f91c4753c15, 0x1426d3dab878158e), // Dora bionic Forced placement
+    (0x57d0d21d2c956ce8, 0x0b8ff47d1c6d86d4), // Dora bionic Forced placement contention
+    (0xfe1434e1bb4119c1, 0x4893bfdbf8764b48), // Conventional software Off
+    (0x393607604fe364cc, 0x4893bfdbf8764b48), // Conventional software Off contention
+    (0xcb492c0c698f1ac4, 0x4893bfdbf8764b48), // Conventional software Off placement
+    (0xe8a8ca5dab213b01, 0x4893bfdbf8764b48), // Conventional software Off placement contention
+    (0x2a64f392af8cc06e, 0x4893bfdbf8764b48), // Conventional software Uniform
+    (0xcad4dc02ee675c6f, 0x4893bfdbf8764b48), // Conventional software Uniform contention
+    (0xb4697a5205a292bd, 0x4893bfdbf8764b48), // Conventional software Uniform placement
+    (0xc66db04006ac0ff8, 0x4893bfdbf8764b48), // Conventional software Uniform placement contention
+    (0x2a64f392af8cc06e, 0x4893bfdbf8764b48), // Conventional software Forced
+    (0xcad4dc02ee675c6f, 0x4893bfdbf8764b48), // Conventional software Forced contention
+    (0xb4697a5205a292bd, 0x4893bfdbf8764b48), // Conventional software Forced placement
+    (0xc66db04006ac0ff8, 0x4893bfdbf8764b48), // Conventional software Forced placement contention
+    (0x999153e3573fc9bc, 0x41eb791b4deb5ea5), // Conventional bionic Off
+    (0x6ad5136d5f0f7a59, 0xbd7fcf40d20553c1), // Conventional bionic Off contention
+    (0xce0bc04e157f30cd, 0x41eb791b4deb5ea5), // Conventional bionic Off placement
+    (0x52fdd6c8bc53ebf8, 0xb16f73feac794592), // Conventional bionic Off placement contention
+    (0xf1424fb4beb728e8, 0x820cff2b1ba90a52), // Conventional bionic Uniform
+    (0xc63dea6e189e4f72, 0x48a964a67294e4ab), // Conventional bionic Uniform contention
+    (0x1e828b9618f79665, 0x132fb1a5fb6ec47b), // Conventional bionic Uniform placement
+    (0xc37e64f6c4d33e1e, 0x8ba201b0dd1248c0), // Conventional bionic Uniform placement contention
+    (0x91a013063768c4f4, 0xd9c90cb54596080c), // Conventional bionic Forced
+    (0xea7d5e031d0f0783, 0x8a81fab5a541993b), // Conventional bionic Forced contention
+    (0x20b2f472f98adac0, 0x4908375ebd8bf10f), // Conventional bionic Forced placement
+    (0xa0099c95bd41f39e, 0xea5eee6768ee1931), // Conventional bionic Forced placement contention
 ];
 
 #[test]
