@@ -45,11 +45,6 @@ impl Footprint {
         self.inner_visited + self.leaves_visited
     }
 
-    /// Did this operation perform any structural modification?
-    pub fn had_smo(&self) -> bool {
-        self.splits + self.merges + self.borrows > 0
-    }
-
     /// Merge another footprint into this one.
     pub fn merge_from(&mut self, o: Footprint) {
         self.inner_visited += o.inner_visited;

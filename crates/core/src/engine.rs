@@ -411,14 +411,6 @@ impl Engine {
         self.attrib.as_ref()
     }
 
-    /// Merge another engine's attribution ledger into this one (shard
-    /// reduce). No-op when either side is disabled.
-    pub fn merge_attribution(&mut self, other: &Engine) {
-        if let (Some(mine), Some(theirs)) = (self.attrib.as_mut(), other.attrib.as_ref()) {
-            mine.merge(theirs);
-        }
-    }
-
     /// Pull a metrics snapshot from every layer into the telemetry
     /// registry (engine, WAL, bufferpool, queues, probe engine, fabric,
     /// PCIe, SG-DRAM, host caches, energy domains). Cold-path: call at the
@@ -672,14 +664,6 @@ impl Engine {
         lsn
     }
 
-    /// Per-agent busy fraction over the run so far — the skew/imbalance
-    /// signal §2 warns about ("even embarrassingly parallel tasks suffer
-    /// from skew and imbalance effects").
-    pub fn agent_utilization(&self) -> Vec<f64> {
-        let horizon = self.stats.last_completion;
-        self.agents.iter().map(|a| a.utilization(horizon)).collect()
-    }
-
     /// Load-imbalance factor: max agent busy time over the mean (1.0 is a
     /// perfectly balanced partition map).
     pub fn agent_imbalance(&self) -> f64 {
@@ -871,15 +855,6 @@ impl Engine {
             out.push((key, rec));
         }
         out
-    }
-
-    /// Secondary-index point lookup: secondary key → primary key (untimed).
-    pub fn secondary_lookup(&mut self, table: u32, skey: i64) -> Option<i64> {
-        self.tables[table as usize]
-            .secondary
-            .get(&skey)
-            .0
-            .map(|p| p as i64)
     }
 
     /// All `(secondary_key, primary_key)` pairs of a table's secondary

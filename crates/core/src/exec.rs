@@ -19,7 +19,6 @@ use bionic_btree::tree::{Cursor, Footprint};
 use bionic_sim::arbiter::BwClient;
 use bionic_sim::energy::EnergyDomain;
 use bionic_sim::mem::AccessClass;
-use bionic_sim::stats::Summary;
 use bionic_sim::time::SimTime;
 use bionic_storage::page::RecordId;
 use bionic_storage::slotted::SlottedPage;
@@ -144,6 +143,17 @@ enum IndexUndo {
     SecondaryReinsert { table: u32, skey: i64, pkey: i64 },
 }
 
+/// The state of the transaction in flight that its ops read and update.
+struct TxnCtx {
+    txn: TxnId,
+    /// The agent running the current action.
+    agent: usize,
+    undo: Vec<IndexUndo>,
+    wrote: bool,
+    logged_begin: bool,
+    abort_on_missing_read: bool,
+}
+
 /// Reusable scratch buffers for the transaction hot path. One instance
 /// lives on the [`Engine`]; [`Engine::submit`] and the batch planner check
 /// buffers out with `mem::take`, use them, and put them back, so the
@@ -212,6 +222,19 @@ fn planned_probes(program: &TxnProgram) -> impl Iterator<Item = (u32, i64)> + '_
         | Op::Delete { table, key } => Some((*table, *key)),
         _ => None,
     })
+}
+
+/// What the placement and fault gates decided for one offloaded op (see
+/// [`Engine::gate`]).
+#[derive(Debug, Clone, Copy)]
+struct Gate {
+    /// The unit is present and not shed: the op tried the hardware.
+    attempted: bool,
+    /// The hardware path runs; otherwise the software path is priced.
+    hw: bool,
+    /// Fault time absorbed as agent-occupying wait (zero unless
+    /// `attempted`).
+    delay: SimTime,
 }
 
 /// Cost of one op: agent-occupying CPU time plus asynchronous tail.
@@ -354,27 +377,43 @@ impl Engine {
         t
     }
 
-    /// Degraded-mode gate for one offloaded op on `unit`: consult the
-    /// fault layer (when armed) and return `(delay, go)`. `delay` is the
-    /// fault time the op absorbs as agent-occupying wait — watchdog
-    /// expiries, CRC/ECC detection latency, retry backoff — charged to
-    /// `Other` with *no* CPU energy (the core is stalled waiting, not
-    /// computing; that is exactly why energy trends toward the software
-    /// baseline under brownout while throughput degrades). `go` says
-    /// whether the hardware path runs or this one op falls back to
-    /// software. With the layer off this is `(ZERO, true)` and costs
+    /// The one gate every offloaded op passes: placement first, then the
+    /// fault layer. A unit that is absent (`present` is false) or shed by
+    /// the placement controller makes no hardware attempt — it consults no
+    /// fault layer and draws no RNG — and its caller prices the plain
+    /// software path. An attempt asks the unit's degraded-mode wrapper
+    /// (when armed): `delay` is the fault time the op absorbs as
+    /// agent-occupying wait — watchdog expiries, CRC/ECC detection latency,
+    /// retry backoff — charged to `Other` with *no* CPU energy (the core is
+    /// stalled waiting, not computing; that is exactly why energy trends
+    /// toward the software baseline under brownout while throughput
+    /// degrades), and `hw` says whether the hardware path runs or this one
+    /// op falls back to software. With the layer off an attempt costs
     /// nothing: no RNG draw, no branch into the fault machinery.
-    fn hw_gate(&mut self, unit: usize, cat: &'static str, now: SimTime) -> (SimTime, bool) {
-        // Every caller is a hardware attempt: flag the transaction as
-        // offloaded for the commit-time path classification.
+    #[inline(always)]
+    fn gate(&mut self, unit: usize, present: bool, cat: Category, now: SimTime) -> Gate {
+        if !(present && self.placement_allows(unit)) {
+            return Gate {
+                attempted: false,
+                hw: false,
+                delay: SimTime::ZERO,
+            };
+        }
+        // A hardware attempt: flag the transaction as offloaded for the
+        // commit-time path classification.
         self.path_acc.offloaded = true;
         let Some(layer) = self.faults.as_mut() else {
-            return (SimTime::ZERO, true);
+            return Gate {
+                attempted: true,
+                hw: true,
+                delay: SimTime::ZERO,
+            };
         };
         let d = layer.unit_mut(unit).try_hw(now);
         if !d.delay.is_zero() {
             let mark = if d.hw { "hw-retry" } else { "hw-fallback" };
-            self.tel.unit_busy(unit, mark, cat, now, now + d.delay);
+            self.tel
+                .unit_busy(unit, mark, cat.label(), now, now + d.delay);
             self.breakdown.charge(Category::Other, d.delay);
             // Watchdog/retry/backoff time is its own critical-path segment.
             self.path_acc.charge(SEG_RETRY, d.delay.as_ps());
@@ -385,7 +424,62 @@ impl Engine {
         if !d.hw {
             self.path_acc.fell_back = true;
         }
-        (d.delay, d.hw)
+        Gate {
+            attempted: true,
+            hw: d.hw,
+            delay: d.delay,
+        }
+    }
+
+    /// Book an op's traffic with the bandwidth arbiters — `link_bytes` on
+    /// the CPU↔FPGA link, `sg_bytes` on SG-DRAM — and return the queueing
+    /// delay. `None` means the resource is not requested; `Some(0)` is
+    /// still a request and counts in the arbiter's ledger. Under the hybrid
+    /// engine the OLTP stream contends here with concurrent analytics; when
+    /// contention is off both delays are zero. A nonzero wait — the op sat
+    /// in the arbiter before its doorbell — is surfaced on the unit's track
+    /// and as its own critical-path segment.
+    #[inline(always)]
+    fn arbiter_wait(
+        &mut self,
+        unit: usize,
+        cat: Category,
+        at: SimTime,
+        link_bytes: Option<u64>,
+        sg_bytes: Option<u64>,
+    ) -> SimTime {
+        let mut wait = SimTime::ZERO;
+        if let Some(bytes) = link_bytes {
+            wait += self
+                .platform
+                .link_contention_delay(BwClient::Oltp, at, bytes);
+        }
+        if let Some(bytes) = sg_bytes {
+            wait += self.platform.sg_contention_delay(BwClient::Oltp, at, bytes);
+        }
+        if !wait.is_zero() {
+            self.tel
+                .unit_busy(unit, "arbiter-wait", cat.label(), at, at + wait);
+            self.path_acc.charge(SEG_ARBITER_WAIT, wait.as_ps());
+        }
+        wait
+    }
+
+    /// Occupy `agent` with `cpu` of work arriving at `at`, traced as one
+    /// span on its core track. Returns when the agent is done.
+    #[inline(always)]
+    fn occupy(
+        &mut self,
+        agent: usize,
+        at: SimTime,
+        cpu: SimTime,
+        name: &'static str,
+        cat: Category,
+    ) -> SimTime {
+        let (start, done) = self.agents[agent].submit(at, cpu);
+        let track = self.tel.core_track(agent);
+        self.tel.span(track, name, cat.label(), start, done);
+        done
     }
 
     fn socket_of(&self, agent: usize) -> usize {
@@ -419,24 +513,15 @@ impl Engine {
     fn probe_cost(&mut self, table: u32, key: i64, fp: &Footprint, now: SimTime) -> OpCost {
         self.stats.probes += 1;
         self.stats.probe_nodes_visited += fp.nodes_visited() as u64;
-        // Placement shedding routes the probe straight to the software
-        // descent — no hardware attempt, so no fault-layer consultation
-        // (and no RNG draw) either. Degraded mode then reroutes
-        // individual faulting probes the same way.
-        let hw_active = self.probe_hw.is_some() && self.placement_allows(U_PROBE);
-        let (gate, go) = if hw_active {
-            self.hw_gate(U_PROBE, Category::Btree.label(), now)
-        } else {
-            (SimTime::ZERO, true)
-        };
-        if !hw_active || !go {
+        let g = self.gate(U_PROBE, self.probe_hw.is_some(), Category::Btree, now);
+        if !g.hw {
             let sw = self.sw_probe_cost(fp);
             // Attribution: a refused hardware probe is fallback time; the
             // plain software descent (static or placement-shed) is probe
             // time.
-            let seg = if hw_active { SEG_FALLBACK } else { SEG_PROBE };
+            let seg = if g.attempted { SEG_FALLBACK } else { SEG_PROBE };
             self.path_acc.charge(seg, sw.as_ps());
-            let mut cpu = gate + sw;
+            let mut cpu = g.delay + sw;
             if self.cfg.exec == ExecModel::Conventional {
                 // Latch coupling: ~10 instructions + contention at the root.
                 cpu += self.sw_work(
@@ -456,49 +541,26 @@ impl Engine {
             };
         }
         // Hardware path: doorbell + PCIe request, pipelined probe, response.
-        let cpu = gate + self.sw_work(Category::Btree, 40, 1, AccessClass::Hot);
+        let cpu = g.delay + self.sw_work(Category::Btree, 40, 1, AccessClass::Hot);
         let levels = fp.nodes_visited().max(1);
         let miss =
             self.cfg.offloads.overlay && self.overlays[table as usize].probe_would_miss(&key);
-        // Under the hybrid engine, the doorbell/response and the probe's
-        // node reads contend with concurrent analytics on the link and on
-        // SG-DRAM; when contention is off both delays are zero.
-        let link_wait = self
-            .platform
-            .link_contention_delay(BwClient::Oltp, now + cpu, 64 + 16);
-        let sg_wait =
-            self.platform
-                .sg_contention_delay(BwClient::Oltp, now + cpu, levels as u64 * 64);
-        let wait = link_wait + sg_wait;
-        if !wait.is_zero() {
-            // The probe sat in the bandwidth arbiter before the doorbell:
-            // surface it on the unit track and in the critical path.
-            self.tel.unit_busy(
-                U_PROBE,
-                "arbiter-wait",
-                Category::Btree.label(),
-                now + cpu,
-                now + cpu + wait,
-            );
-            self.path_acc.charge(SEG_ARBITER_WAIT, wait.as_ps());
-        }
-        let at_fpga = self.platform.pcie_send(now + cpu + link_wait + sg_wait, 64);
-        let probe = self.probe_hw.as_mut().expect("checked above");
+        // The doorbell/response cross the link; the node reads hit SG-DRAM.
+        let wait = self.arbiter_wait(
+            U_PROBE,
+            Category::Btree,
+            now + cpu,
+            Some(64 + 16),
+            Some(levels as u64 * 64),
+        );
+        let at_fpga = self.platform.pcie_send(now + cpu + wait, 64);
+        let probe = self.probe_hw.as_mut().expect("the gate said hardware");
         let outcome = if miss {
             probe.submit_with_miss(at_fpga, (levels / 2).max(1), 1, &mut self.platform.sg_dram)
         } else {
             probe.submit(at_fpga, levels, 1, &mut self.platform.sg_dram)
         };
-        self.platform.charge_fpga(outcome.energy());
-        self.tel.unit_busy(
-            U_PROBE,
-            "probe",
-            Category::Btree.label(),
-            at_fpga,
-            outcome.time(),
-        );
-        self.path_acc
-            .charge(SEG_PROBE, outcome.time().saturating_sub(at_fpga).as_ps());
+        self.probe_served("probe", at_fpga, &outcome);
         let mut done = self.platform.pcie_send(outcome.time(), 16);
         let mut cpu_total = cpu;
         if let ProbeOutcome::Aborted { .. } = outcome {
@@ -510,18 +572,9 @@ impl Engine {
                 self.platform
                     .sas_read(done + fetch_cpu, (key as u64 % 4096) * 8192, 8192);
             let at2 = self.platform.pcie_send(fetched, 64);
-            let probe = self.probe_hw.as_mut().expect("checked above");
+            let probe = self.probe_hw.as_mut().expect("the gate said hardware");
             let retry = probe.submit(at2, levels, 1, &mut self.platform.sg_dram);
-            self.platform.charge_fpga(retry.energy());
-            self.tel.unit_busy(
-                U_PROBE,
-                "probe-retry",
-                Category::Btree.label(),
-                at2,
-                retry.time(),
-            );
-            self.path_acc
-                .charge(SEG_PROBE, retry.time().saturating_sub(at2).as_ps());
+            self.probe_served("probe-retry", at2, &retry);
             done = self.platform.pcie_send(retry.time(), 16);
             cpu_total += fetch_cpu;
         }
@@ -529,6 +582,16 @@ impl Engine {
             cpu: cpu_total,
             asy: done.saturating_sub(now + cpu_total),
         }
+    }
+
+    /// Account one pass through the probe engine that entered at `at`:
+    /// fabric energy, the unit-track mark, probe time on the critical path.
+    fn probe_served(&mut self, mark: &'static str, at: SimTime, outcome: &ProbeOutcome) {
+        self.platform.charge_fpga(outcome.energy());
+        self.tel
+            .unit_busy(U_PROBE, mark, Category::Btree.label(), at, outcome.time());
+        self.path_acc
+            .charge(SEG_PROBE, outcome.time().saturating_sub(at).as_ps());
     }
 
     /// Index structural write cost: always software (§5.3 keeps SMOs
@@ -566,27 +629,14 @@ impl Engine {
             let rounds = bytes.div_ceil(64) as u64;
             let e = self.platform.sg_dram.charge_accesses(rounds * 8);
             self.platform.energy.charge(EnergyDomain::SgDram, e);
-            let sg_wait = self
-                .platform
-                .sg_contention_delay(BwClient::Oltp, now + cpu, rounds * 64);
-            let link_wait =
-                self.platform
-                    .link_contention_delay(BwClient::Oltp, now + cpu, bytes as u64);
-            let wait = sg_wait + link_wait;
-            if !wait.is_zero() {
-                self.tel.unit_busy(
-                    U_OVERLAY,
-                    "arbiter-wait",
-                    Category::Other.label(),
-                    now + cpu,
-                    now + cpu + wait,
-                );
-                self.path_acc.charge(SEG_ARBITER_WAIT, wait.as_ps());
-            }
-            let asy = SimTime::from_ns(400.0)
-                + self.platform.pcie.wire_time(bytes as u64)
-                + sg_wait
-                + link_wait;
+            let wait = self.arbiter_wait(
+                U_OVERLAY,
+                Category::Other,
+                now + cpu,
+                Some(bytes as u64),
+                Some(rounds * 64),
+            );
+            let asy = SimTime::from_ns(400.0) + self.platform.pcie.wire_time(bytes as u64) + wait;
             return OpCost { cpu, asy };
         }
         let mut cpu = self.sw_work(Category::Bpool, 90, 3, AccessClass::Hot);
@@ -622,48 +672,72 @@ impl Engine {
             )
     }
 
-    /// Overlay delta-write cost (the FPGA overlay manager of Figure 4).
-    fn overlay_write_cost(&mut self, now: SimTime) -> OpCost {
-        if !self.placement_allows(U_OVERLAY) {
-            // Placement-shed: price the delta through the buffer-pool
-            // write path, exactly as a software-overlay configuration
-            // would — no hardware attempt, no fault-layer consultation.
-            // The functional overlay put at the call site is unaffected.
-            let sw = self.sw_work(Category::Bpool, 110, 3, AccessClass::Hot);
-            return OpCost {
-                cpu: sw,
-                asy: SimTime::ZERO,
-            };
+    /// Fetch the record at `rid` for a read: only its length matters.
+    #[inline(always)]
+    fn record_fetch_cost(&mut self, table: u32, rid: u64, now: SimTime) -> OpCost {
+        let heap = &mut self.tables[table as usize].heap;
+        let (len, hfp) = heap.record_len(&mut self.pool, RecordId::from_u64(rid));
+        self.record_read_cost(len.unwrap_or(0), hfp.pool_misses > 0, now)
+    }
+
+    /// Fetch the image of the live record at `rid` into `image`, for a
+    /// write that logs it.
+    fn image_fetch_cost(
+        &mut self,
+        table: u32,
+        rid: RecordId,
+        image: &mut Vec<u8>,
+        now: SimTime,
+    ) -> OpCost {
+        let heap = &mut self.tables[table as usize].heap;
+        let (len, hfp) = heap.get_into(&mut self.pool, rid, image);
+        let len = len.expect("index points at live record");
+        self.record_read_cost(len, hfp.pool_misses > 0, now)
+    }
+
+    /// Mirror a primary-index change into the table's overlay under the
+    /// next write sequence number: `Some(rid)` puts, `None` deletes.
+    /// Functional only, and a no-op when the overlay is not configured.
+    fn overlay_apply(&mut self, table: u32, key: i64, rid: Option<u64>) {
+        if !self.cfg.offloads.overlay {
+            return;
         }
-        let (gate, go) = self.hw_gate(U_OVERLAY, Category::Bpool.label(), now);
-        if !go {
-            // Software fallback: the delta goes through the buffer-pool
+        let seq = self.write_seq;
+        self.write_seq += 1;
+        let overlay = &mut self.overlays[table as usize];
+        match rid {
+            Some(rid) => overlay.put(key, rid, seq),
+            None => overlay.delete(key, seq),
+        };
+    }
+
+    /// A forward write's overlay delta: [`Engine::overlay_apply`] plus the
+    /// price of the delta write (the FPGA overlay manager of Figure 4).
+    /// The functional put/delete happens whichever way the pricing goes.
+    #[inline(always)]
+    fn overlay_write(&mut self, table: u32, key: i64, rid: Option<u64>, now: SimTime) -> OpCost {
+        if !self.cfg.offloads.overlay {
+            return OpCost::default();
+        }
+        self.overlay_apply(table, key, rid);
+        let g = self.gate(U_OVERLAY, true, Category::Bpool, now);
+        if !g.hw {
+            // Shed or fallen back: the delta goes through the buffer-pool
             // write path instead — the same pool part
             // [`Engine::record_write_cost`] charges when the overlay is
-            // off. The functional overlay put at the call site is
-            // unaffected (pricing-only reroute).
+            // off.
             let sw = self.sw_work(Category::Bpool, 110, 3, AccessClass::Hot);
-            self.path_acc.charge(SEG_FALLBACK, sw.as_ps());
+            if g.attempted {
+                self.path_acc.charge(SEG_FALLBACK, sw.as_ps());
+            }
             return OpCost {
-                cpu: gate + sw,
+                cpu: g.delay + sw,
                 asy: SimTime::ZERO,
             };
         }
-        let cpu = gate + self.sw_work(Category::Bpool, 30, 1, AccessClass::Hot);
-        let link_wait = self
-            .platform
-            .link_contention_delay(BwClient::Oltp, now + cpu, 64);
-        if !link_wait.is_zero() {
-            self.tel.unit_busy(
-                U_OVERLAY,
-                "arbiter-wait",
-                Category::Bpool.label(),
-                now + cpu,
-                now + cpu + link_wait,
-            );
-            self.path_acc.charge(SEG_ARBITER_WAIT, link_wait.as_ps());
-        }
-        let done = self.platform.pcie_send(now + cpu + link_wait, 64);
+        let cpu = g.delay + self.sw_work(Category::Bpool, 30, 1, AccessClass::Hot);
+        let wait = self.arbiter_wait(U_OVERLAY, Category::Bpool, now + cpu, Some(64), None);
+        let done = self.platform.pcie_send(now + cpu + wait, 64);
         self.tel.unit_busy(
             U_OVERLAY,
             "delta-write",
@@ -675,6 +749,41 @@ impl Engine {
             cpu,
             asy: (done + SimTime::from_ns(400.0)).saturating_sub(now + cpu),
         }
+    }
+
+    /// Price one `bytes`-long insert into the log buffer by `agent` at
+    /// `now`, forward record or CLR alike. Returns `(cpu, buffered_at)`.
+    /// On the hardware log a shed or fallen-back insert goes through the
+    /// latch-serialized software buffer instead; `mark` names the
+    /// unit-track mark of an insert the hardware served.
+    #[inline(always)]
+    fn log_insert_cost(
+        &mut self,
+        now: SimTime,
+        agent: usize,
+        bytes: u64,
+        mark: &'static str,
+    ) -> (SimTime, SimTime) {
+        let is_hw = matches!(self.log_path, LogPath::Hardware(_));
+        let g = self.gate(U_LOG, is_hw, Category::Log, now);
+        let at = now + g.delay;
+        let timing = if is_hw && !g.hw {
+            self.log_fallback.insert(at, agent, bytes)
+        } else {
+            self.log_path.insert(at, agent, bytes)
+        };
+        if g.hw {
+            self.tel
+                .unit_busy(U_LOG, mark, Category::Log.label(), at, timing.buffered_at);
+        }
+        let insert_cpu = self.cpu_time(Category::Log, timing.cpu_busy);
+        if g.attempted && !g.hw {
+            // Rerouted by a fault: the insert is fallback time, not
+            // log-engine service.
+            self.path_acc.charge(SEG_FALLBACK, insert_cpu.as_ps());
+        }
+        self.platform.charge_fpga(timing.energy);
+        (g.delay + insert_cpu, timing.buffered_at)
     }
 
     /// Append + price a log record. Returns `(cpu, buffered_at, lsn)`.
@@ -700,48 +809,70 @@ impl Engine {
                 }
             }
         }
-        let is_hw = matches!(self.log_path, LogPath::Hardware(_));
-        // Placement shedding sends the record straight to the software
-        // buffer with no hardware attempt; degraded mode reroutes single
-        // faulting inserts the same way after the gate says no.
-        let hw_active = is_hw && self.placement_allows(U_LOG);
-        let (gate, go) = if hw_active {
-            self.hw_gate(U_LOG, Category::Log.label(), now)
-        } else {
-            (SimTime::ZERO, true)
-        };
-        let timing = if is_hw && !(hw_active && go) {
-            // Fallback/shed: the record goes through the latch-serialized
-            // software buffer (functional append already happened above —
-            // only the insertion pricing reroutes).
-            self.log_fallback.insert(now + gate, agent, bytes as u64)
-        } else {
-            self.log_path.insert(now + gate, agent, bytes as u64)
-        };
-        if hw_active && go {
-            self.tel.unit_busy(
-                U_LOG,
-                "log-insert",
-                Category::Log.label(),
-                now + gate,
-                timing.buffered_at,
-            );
-        }
-        let insert_cpu = self.cpu_time(Category::Log, timing.cpu_busy);
-        if hw_active && !go {
-            // The log record rerouted through the latch-serialized software
-            // buffer: its insert time is fallback, not log-engine service.
-            self.path_acc.charge(SEG_FALLBACK, insert_cpu.as_ps());
-        }
-        let cpu = gate + insert_cpu;
-        self.platform.charge_fpga(timing.energy);
-        (cpu, timing.buffered_at, lsn)
+        let (cpu, buffered_at) = self.log_insert_cost(now, agent, bytes as u64, "log-insert");
+        (cpu, buffered_at, lsn)
     }
 
-    fn stamp_page(&mut self, rid: RecordId, lsn: Lsn) {
+    /// A transaction's first write opens it in the log with a Begin record.
+    fn log_begin(&mut self, cx: &mut TxnCtx, now: SimTime) -> SimTime {
+        if cx.logged_begin {
+            return SimTime::ZERO;
+        }
+        cx.logged_begin = true;
+        self.log_write(cx.txn, LogBodyRef::Begin, cx.agent, now).0
+    }
+
+    /// Log one data record and stamp the page it changed (`rid`'s) with the
+    /// record's LSN. Returns the insert's CPU time.
+    fn log_data(
+        &mut self,
+        cx: &TxnCtx,
+        body: LogBodyRef<'_>,
+        rid: RecordId,
+        now: SimTime,
+    ) -> SimTime {
+        let (cpu, _, lsn) = self.log_write(cx.txn, body, cx.agent, now);
         self.pool.with_page_mut(rid.page, |pg| {
             SlottedPage::attach(pg).set_lsn(lsn);
         });
+        cpu
+    }
+
+    /// DORA action creation + queue hand-off to `agent` at `t`: the queue
+    /// engine's enqueue/dequeue pair, or the software queue when the unit
+    /// is absent, shed or refuses. Returns the agent time it adds ahead of
+    /// the action's ops.
+    fn hand_off_cost(&mut self, agent: usize, t: SimTime) -> SimTime {
+        let create = self.sw_work(Category::Dora, 100, 2, AccessClass::Hot);
+        let g = self.gate(U_QUEUE, self.queue_hw.is_some(), Category::Dora, t);
+        let tq = t + g.delay;
+        let busy = match self.queue_hw.as_mut() {
+            Some(hw) if g.hw => {
+                let lat = hw.op_latency();
+                let (e, d) = (hw.enqueue(tq), hw.dequeue(tq));
+                self.platform.charge_fpga(e.energy + d.energy);
+                // The fabric serves the enqueue/dequeue pair back-to-back;
+                // trace them as consecutive marks.
+                let dora = Category::Dora.label();
+                self.tel.unit_busy(U_QUEUE, "enqueue", dora, tq, tq + lat);
+                self.tel
+                    .unit_busy(U_QUEUE, "dequeue", dora, tq + lat, tq + lat + lat);
+                e.cpu_busy + d.cpu_busy
+            }
+            _ => {
+                let cross = self.socket_of(agent) != 0;
+                let (e, d) = (self.queue_sw.enqueue(cross), self.queue_sw.dequeue(cross));
+                let busy = e.cpu_busy + d.cpu_busy;
+                if g.attempted {
+                    // Hardware queue refused this hand-off: software
+                    // enqueue/dequeue is fallback time.
+                    self.path_acc.charge(SEG_FALLBACK, busy.as_ps());
+                }
+                busy
+            }
+        };
+        self.cpu_time(Category::Dora, busy);
+        g.delay + create + busy
     }
 
     /// Conventional-engine lock acquisition: hash + latch + queue checks
@@ -856,17 +987,33 @@ impl Engine {
         cost
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// The tail every point read shares: fetch the record its probes found,
+    /// or report the key missing.
+    fn read_record(
+        &mut self,
+        cx: &TxnCtx,
+        table: u32,
+        rid: Option<u64>,
+        now: SimTime,
+        cost: &mut OpCost,
+    ) -> Result<(), AbortReason> {
+        match rid {
+            Some(rid) => {
+                cost.add(self.record_fetch_cost(table, rid, now));
+                Ok(())
+            }
+            None if cx.abort_on_missing_read => Err(AbortReason::MissingKey),
+            None => Ok(()),
+        }
+    }
+
+    /// Run one op of `cx`'s transaction on `cx.agent` at `now`: it really
+    /// happens, and it is priced.
     fn exec_op(
         &mut self,
-        txn: TxnId,
+        cx: &mut TxnCtx,
         op: &Op,
-        agent: usize,
         now: SimTime,
-        undo: &mut Vec<IndexUndo>,
-        wrote: &mut bool,
-        logged_begin: &mut bool,
-        abort_on_missing_read: bool,
     ) -> (OpCost, Result<(), AbortReason>) {
         let mut cost = OpCost::default();
         if self.cfg.exec == ExecModel::Conventional {
@@ -875,14 +1022,6 @@ impl Engine {
                 cost.cpu += self.lock_cost(now);
             }
         }
-        let ensure_begin =
-            |eng: &mut Engine, cost: &mut OpCost, logged_begin: &mut bool, t: SimTime| {
-                if !*logged_begin {
-                    let (cpu, _, _) = eng.log_write(txn, LogBodyRef::Begin, agent, t);
-                    cost.cpu += cpu;
-                    *logged_begin = true;
-                }
-            };
         let result = match op {
             Op::Compute { instructions } => {
                 cost.cpu += self.sw_work(
@@ -893,47 +1032,20 @@ impl Engine {
                 );
                 Ok(())
             }
-            Op::SecondaryRead { table, skey } => {
-                let (pkey, c) = self.timed_secondary_probe(*table, *skey, now);
-                cost.add(c);
-                match pkey {
-                    Some(pkey) => {
-                        let (rid, c) = self.timed_probe(*table, pkey, now, false);
-                        cost.add(c);
-                        if let Some(rid) = rid {
-                            let rid = RecordId::from_u64(rid);
-                            let (len, hfp) = {
-                                let t = &mut self.tables[*table as usize];
-                                t.heap.record_len(&mut self.pool, rid)
-                            };
-                            let bytes = len.unwrap_or(0);
-                            let c = self.record_read_cost(bytes, hfp.pool_misses > 0, now);
-                            cost.add(c);
-                        }
-                        Ok(())
-                    }
-                    None if abort_on_missing_read => Err(AbortReason::MissingKey),
-                    None => Ok(()),
-                }
-            }
             Op::Read { table, key } => {
                 let (rid, c) = self.timed_probe(*table, *key, now, true);
                 cost.add(c);
-                match rid {
-                    Some(rid) => {
-                        let rid = RecordId::from_u64(rid);
-                        let (len, hfp) = {
-                            let t = &mut self.tables[*table as usize];
-                            t.heap.record_len(&mut self.pool, rid)
-                        };
-                        let bytes = len.unwrap_or(0);
-                        let c = self.record_read_cost(bytes, hfp.pool_misses > 0, now);
-                        cost.add(c);
-                        Ok(())
-                    }
-                    None if abort_on_missing_read => Err(AbortReason::MissingKey),
-                    None => Ok(()),
-                }
+                self.read_record(cx, *table, rid, now, &mut cost)
+            }
+            Op::SecondaryRead { table, skey } => {
+                let (pkey, c) = self.timed_secondary_probe(*table, *skey, now);
+                cost.add(c);
+                let rid = pkey.and_then(|pkey| {
+                    let (rid, c) = self.timed_probe(*table, pkey, now, false);
+                    cost.add(c);
+                    rid
+                });
+                self.read_record(cx, *table, rid, now, &mut cost)
             }
             Op::ReadRange {
                 table,
@@ -960,32 +1072,20 @@ impl Engine {
                     cost.asy += SimTime::from_ns(400.0) * extra_leaves;
                     let e = self.platform.sg_dram.charge_accesses(extra_leaves * 8);
                     self.platform.energy.charge(EnergyDomain::SgDram, e);
-                    let sg_wait =
-                        self.platform
-                            .sg_contention_delay(BwClient::Oltp, now, extra_leaves * 64);
-                    if !sg_wait.is_zero() {
-                        self.tel.unit_busy(
-                            U_PROBE,
-                            "arbiter-wait",
-                            Category::Btree.label(),
-                            now,
-                            now + sg_wait,
-                        );
-                        self.path_acc.charge(SEG_ARBITER_WAIT, sg_wait.as_ps());
-                    }
-                    cost.asy += sg_wait;
+                    // Booked even when there is no extra leaf (0 bytes).
+                    cost.asy += self.arbiter_wait(
+                        U_PROBE,
+                        Category::Btree,
+                        now,
+                        None,
+                        Some(extra_leaves * 64),
+                    );
                 } else {
                     cost.cpu +=
                         self.sw_work(Category::Btree, 4 * rids.len() as u64, 0, AccessClass::Hot);
                 }
                 for &rid in &rids {
-                    let rid = RecordId::from_u64(rid);
-                    let (len, hfp) = {
-                        let t = &mut self.tables[*table as usize];
-                        t.heap.record_len(&mut self.pool, rid)
-                    };
-                    let bytes = len.unwrap_or(0);
-                    let c = self.record_read_cost(bytes, hfp.pool_misses > 0, now);
+                    let c = self.record_fetch_cost(*table, rid, now);
                     cost.add(c);
                 }
                 self.scratch.range_rids = rids;
@@ -1000,12 +1100,7 @@ impl Engine {
                 let rid = RecordId::from_u64(rid_u);
                 let mut before = std::mem::take(&mut self.scratch.rec_before);
                 let mut after = std::mem::take(&mut self.scratch.rec_after);
-                let (blen, hfp) = {
-                    let t = &mut self.tables[*table as usize];
-                    t.heap.get_into(&mut self.pool, rid, &mut before)
-                };
-                let blen = blen.expect("index points at live record");
-                let c = self.record_read_cost(blen, hfp.pool_misses > 0, now);
+                let c = self.image_fetch_cost(*table, rid, &mut before, now);
                 cost.add(c);
                 after.clear();
                 after.extend_from_slice(&before);
@@ -1014,7 +1109,7 @@ impl Engine {
                     self.scratch.rec_after = after;
                     return (cost, Err(AbortReason::PatchFailed));
                 }
-                ensure_begin(self, &mut cost, logged_begin, now);
+                cost.cpu += self.log_begin(cx, now);
                 let (new_rid, _) = {
                     let t = &mut self.tables[*table as usize];
                     t.heap
@@ -1024,68 +1119,51 @@ impl Engine {
                 cost.cpu += self.record_write_cost(after.len());
                 if new_rid != rid {
                     // Record moved: log as delete+insert, repoint the index.
-                    let (cpu, _, lsn1) = self.log_write(
-                        txn,
-                        LogBodyRef::Delete {
-                            table: *table,
-                            rid: rid_u,
-                            before: &before,
-                        },
-                        agent,
-                        now,
-                    );
-                    cost.cpu += cpu;
-                    self.stamp_page(rid, lsn1);
-                    let (cpu, _, lsn2) = self.log_write(
-                        txn,
-                        LogBodyRef::Insert {
-                            table: *table,
-                            rid: new_rid.to_u64(),
-                            after: &after,
-                        },
-                        agent,
-                        now,
-                    );
-                    cost.cpu += cpu;
-                    self.stamp_page(new_rid, lsn2);
+                    let delete = LogBodyRef::Delete {
+                        table: *table,
+                        rid: rid_u,
+                        before: &before,
+                    };
+                    cost.cpu += self.log_data(cx, delete, rid, now);
+                    let insert = LogBodyRef::Insert {
+                        table: *table,
+                        rid: new_rid.to_u64(),
+                        after: &after,
+                    };
+                    cost.cpu += self.log_data(cx, insert, new_rid, now);
                     let (_, ifp) = self.tables[*table as usize]
                         .index
                         .insert(*key, new_rid.to_u64());
                     let c = self.index_write_cost(&ifp, now);
                     cost.add(c);
-                    undo.push(IndexUndo::Reinsert {
+                    cx.undo.push(IndexUndo::Reinsert {
                         table: *table,
                         key: *key,
                         rid: rid_u,
                     });
                 } else {
-                    let (cpu, _, lsn) = self.log_write(
-                        txn,
-                        LogBodyRef::Update {
-                            table: *table,
-                            rid: rid_u,
-                            before: &before,
-                            after: &after,
-                        },
-                        agent,
-                        now,
-                    );
-                    cost.cpu += cpu;
-                    self.stamp_page(rid, lsn);
+                    let update = LogBodyRef::Update {
+                        table: *table,
+                        rid: rid_u,
+                        before: &before,
+                        after: &after,
+                    };
+                    cost.cpu += self.log_data(cx, update, rid, now);
                 }
-                if self.cfg.offloads.overlay {
-                    let seq = self.write_seq;
-                    self.write_seq += 1;
-                    self.overlays[*table as usize].put(*key, new_rid.to_u64(), seq);
-                    let c = self.overlay_write_cost(now);
-                    cost.add(c);
-                }
-                let c =
-                    self.maintain_secondary(*table, *key, Some(&before), Some(&after), now, undo);
+                let c = self.overlay_write(*table, *key, Some(new_rid.to_u64()), now);
+                cost.add(c);
+                let c = self.maintain_secondary(
+                    *table,
+                    *key,
+                    Some(&before),
+                    Some(&after),
+                    now,
+                    &mut cx.undo,
+                );
                 cost.add(c);
                 self.scratch.rec_before = before;
                 self.scratch.rec_after = after;
-                *wrote = true;
+                cx.wrote = true;
                 Ok(())
             }
             Op::Insert { table, key, record } => {
@@ -1094,7 +1172,7 @@ impl Engine {
                 if existing.is_some() {
                     return (cost, Err(AbortReason::DuplicateKey));
                 }
-                ensure_begin(self, &mut cost, logged_begin, now);
+                cost.cpu += self.log_begin(cx, now);
                 let mut full = std::mem::take(&mut self.scratch.rec_before);
                 crate::table::make_record_into(*key, record, &mut full);
                 let (rid, _) = {
@@ -1102,38 +1180,27 @@ impl Engine {
                     t.heap.insert(&mut self.pool, &full).expect("insert fits")
                 };
                 cost.cpu += self.record_write_cost(full.len());
-                let (cpu, _, lsn) = self.log_write(
-                    txn,
-                    LogBodyRef::Insert {
-                        table: *table,
-                        rid: rid.to_u64(),
-                        after: &full,
-                    },
-                    agent,
-                    now,
-                );
-                cost.cpu += cpu;
-                self.stamp_page(rid, lsn);
+                let insert = LogBodyRef::Insert {
+                    table: *table,
+                    rid: rid.to_u64(),
+                    after: &full,
+                };
+                cost.cpu += self.log_data(cx, insert, rid, now);
                 let (_, ifp) = self.tables[*table as usize]
                     .index
                     .insert(*key, rid.to_u64());
                 let c = self.index_write_cost(&ifp, now);
                 cost.add(c);
-                if self.cfg.offloads.overlay {
-                    let seq = self.write_seq;
-                    self.write_seq += 1;
-                    self.overlays[*table as usize].put(*key, rid.to_u64(), seq);
-                    let c = self.overlay_write_cost(now);
-                    cost.add(c);
-                }
-                undo.push(IndexUndo::Remove {
+                let c = self.overlay_write(*table, *key, Some(rid.to_u64()), now);
+                cost.add(c);
+                cx.undo.push(IndexUndo::Remove {
                     table: *table,
                     key: *key,
                 });
-                let c = self.maintain_secondary(*table, *key, None, Some(&full), now, undo);
+                let c = self.maintain_secondary(*table, *key, None, Some(&full), now, &mut cx.undo);
                 cost.add(c);
                 self.scratch.rec_before = full;
-                *wrote = true;
+                cx.wrote = true;
                 Ok(())
             }
             Op::Delete { table, key } => {
@@ -1144,50 +1211,35 @@ impl Engine {
                 };
                 let rid = RecordId::from_u64(rid_u);
                 let mut before = std::mem::take(&mut self.scratch.rec_before);
-                let (blen, hfp) = {
-                    let t = &mut self.tables[*table as usize];
-                    t.heap.get_into(&mut self.pool, rid, &mut before)
-                };
-                blen.expect("index points at live record");
-                let c = self.record_read_cost(before.len(), hfp.pool_misses > 0, now);
+                let c = self.image_fetch_cost(*table, rid, &mut before, now);
                 cost.add(c);
-                ensure_begin(self, &mut cost, logged_begin, now);
+                cost.cpu += self.log_begin(cx, now);
                 {
                     let t = &mut self.tables[*table as usize];
                     t.heap.delete(&mut self.pool, rid).expect("delete live");
                 }
                 cost.cpu += self.record_write_cost(0);
-                let (cpu, _, lsn) = self.log_write(
-                    txn,
-                    LogBodyRef::Delete {
-                        table: *table,
-                        rid: rid_u,
-                        before: &before,
-                    },
-                    agent,
-                    now,
-                );
-                cost.cpu += cpu;
-                self.stamp_page(rid, lsn);
+                let delete = LogBodyRef::Delete {
+                    table: *table,
+                    rid: rid_u,
+                    before: &before,
+                };
+                cost.cpu += self.log_data(cx, delete, rid, now);
                 let (_, ifp) = self.tables[*table as usize].index.remove(key);
                 let c = self.index_write_cost(&ifp, now);
                 cost.add(c);
-                if self.cfg.offloads.overlay {
-                    let seq = self.write_seq;
-                    self.write_seq += 1;
-                    self.overlays[*table as usize].delete(*key, seq);
-                    let c = self.overlay_write_cost(now);
-                    cost.add(c);
-                }
-                undo.push(IndexUndo::Reinsert {
+                let c = self.overlay_write(*table, *key, None, now);
+                cost.add(c);
+                cx.undo.push(IndexUndo::Reinsert {
                     table: *table,
                     key: *key,
                     rid: rid_u,
                 });
-                let c = self.maintain_secondary(*table, *key, Some(&before), None, now, undo);
+                let c =
+                    self.maintain_secondary(*table, *key, Some(&before), None, now, &mut cx.undo);
                 cost.add(c);
                 self.scratch.rec_before = before;
-                *wrote = true;
+                cx.wrote = true;
                 Ok(())
             }
         };
@@ -1195,7 +1247,8 @@ impl Engine {
     }
 
     /// Roll a transaction back: WAL undo for heap state, reverse index
-    /// compensation for volatile structures, CLR logging costs.
+    /// compensation for volatile structures, CLR logging costs. Returns the
+    /// agent time it takes.
     fn rollback(
         &mut self,
         txn: TxnId,
@@ -1207,69 +1260,99 @@ impl Engine {
         let undone = bionic_wal::recovery::undo_txn(&mut self.log, &mut self.pool, txn);
         // Price each CLR like a small logged update.
         for _ in 0..undone {
-            let is_hw = matches!(self.log_path, LogPath::Hardware(_));
-            let hw_active = is_hw && self.placement_allows(U_LOG);
-            let (gate, go) = if hw_active {
-                self.hw_gate(U_LOG, Category::Log.label(), now + cpu)
-            } else {
-                (SimTime::ZERO, true)
-            };
-            cpu += gate;
-            let timing = if is_hw && !(hw_active && go) {
-                self.log_fallback.insert(now + cpu, agent, 120)
-            } else {
-                self.log_path.insert(now + cpu, agent, 120)
-            };
-            if hw_active && go {
-                self.tel.unit_busy(
-                    U_LOG,
-                    "clr-insert",
-                    Category::Log.label(),
-                    now + cpu,
-                    timing.buffered_at,
-                );
-            }
-            cpu += self.cpu_time(Category::Log, timing.cpu_busy);
-            self.platform.charge_fpga(timing.energy);
+            cpu += self.log_insert_cost(now + cpu, agent, 120, "clr-insert").0;
             cpu += self.sw_work(Category::Xct, 180, 4, AccessClass::PointerChase);
         }
         for u in undo.drain(..).rev() {
-            match u {
+            let fp = match u {
                 IndexUndo::Remove { table, key } => {
-                    let (_, fp) = self.tables[table as usize].index.remove(&key);
-                    let c = self.index_write_cost(&fp, now + cpu);
-                    cpu += c.cpu;
-                    if self.cfg.offloads.overlay {
-                        let seq = self.write_seq;
-                        self.write_seq += 1;
-                        self.overlays[table as usize].delete(key, seq);
-                    }
+                    self.overlay_apply(table, key, None);
+                    self.tables[table as usize].index.remove(&key).1
                 }
                 IndexUndo::Reinsert { table, key, rid } => {
-                    let (_, fp) = self.tables[table as usize].index.insert(key, rid);
-                    let c = self.index_write_cost(&fp, now + cpu);
-                    cpu += c.cpu;
-                    if self.cfg.offloads.overlay {
-                        let seq = self.write_seq;
-                        self.write_seq += 1;
-                        self.overlays[table as usize].put(key, rid, seq);
-                    }
+                    self.overlay_apply(table, key, Some(rid));
+                    self.tables[table as usize].index.insert(key, rid).1
                 }
                 IndexUndo::SecondaryRemove { table, skey } => {
-                    let (_, fp) = self.tables[table as usize].secondary.remove(&skey);
-                    let c = self.index_write_cost(&fp, now + cpu);
-                    cpu += c.cpu;
+                    self.tables[table as usize].secondary.remove(&skey).1
                 }
                 IndexUndo::SecondaryReinsert { table, skey, pkey } => {
-                    let (_, fp) = self.tables[table as usize]
-                        .secondary
-                        .insert(skey, pkey as u64);
-                    let c = self.index_write_cost(&fp, now + cpu);
-                    cpu += c.cpu;
+                    let secondary = &mut self.tables[table as usize].secondary;
+                    secondary.insert(skey, pkey as u64).1
                 }
-            }
+            };
+            cpu += self.index_write_cost(&fp, now + cpu).cpu;
         }
         cpu
+    }
+
+    /// Occupy `agent` from `t` with `cpu` of rollback work and count the
+    /// abort. Returns when the rollback completes.
+    fn count_abort(&mut self, agent: usize, t: SimTime, cpu: SimTime) -> SimTime {
+        let done = self.occupy(agent, t, cpu, "rollback", Category::Xct);
+        self.stats.aborted += 1;
+        self.stats.last_completion = self.stats.last_completion.max(done);
+        done
+    }
+
+    /// CPU time of commit processing, before any log write: transaction
+    /// bookkeeping plus, in the conventional engine, releasing `locks`.
+    fn commit_cpu(&mut self, locks: u64) -> SimTime {
+        let mut cpu = self.sw_work(Category::Xct, 200, 3, AccessClass::Hot);
+        if self.cfg.exec == ExecModel::Conventional && locks > 0 {
+            cpu += self.sw_work(Category::Lock, 130 * locks, 2 * locks, AccessClass::Hot);
+        }
+        cpu
+    }
+
+    /// Count a commit that completed at `done` for a request that arrived
+    /// at `since`. Returns its latency.
+    fn count_commit(&mut self, done: SimTime, since: SimTime) -> SimTime {
+        self.stats.committed += 1;
+        let latency = done - since;
+        self.stats.latency.record(latency);
+        self.stats.last_completion = self.stats.last_completion.max(done);
+        latency
+    }
+
+    /// The durable close of a step — commit, prepare vote or coordinator
+    /// decision: append `body`, force it with a group-commit-priced flush
+    /// (a `Commit` is then followed by its `End`), and occupy `agent` from
+    /// `t` with `cpu` plus the insert's CPU, traced as `span`. Returns when
+    /// the step is both done and durable. A `None` body is a step that
+    /// wrote nothing: agent time only.
+    ///
+    /// Returns `None` when the crash fuse blew on the append — the torn
+    /// window: the record is in the volatile log but nothing was flushed,
+    /// so a torn Commit must lose at recovery and a torn Prepare vote never
+    /// left this node. Nothing after the append has happened: no flush, no
+    /// `End`, no agent occupancy, no counter.
+    fn seal(
+        &mut self,
+        txn: TxnId,
+        body: Option<LogBodyRef<'_>>,
+        agent: usize,
+        t: SimTime,
+        mut cpu: SimTime,
+        span: &'static str,
+    ) -> Option<SimTime> {
+        let Some(body) = body else {
+            return Some(self.occupy(agent, t, cpu, span, Category::Xct));
+        };
+        let (log_cpu, buffered, _) = self.log_write(txn, body, agent, t + cpu);
+        if self.fuse_blown() {
+            return None;
+        }
+        cpu += log_cpu;
+        let bytes = self.log.unflushed_bytes().max(1);
+        let (durable, e) = self.group_commit.durable_at(buffered, bytes);
+        self.platform.energy.charge(EnergyDomain::Storage, e);
+        self.log.flush();
+        if matches!(body, LogBodyRef::Commit) {
+            self.log.append_ref(txn, LogBodyRef::End);
+        }
+        let agent_done = self.occupy(agent, t, cpu, span, Category::Log);
+        Some(agent_done.max(durable))
     }
 
     /// The query-side read path of Figure 4: a range query over one table,
@@ -1331,11 +1414,6 @@ impl Engine {
     /// Result-cache statistics (hits/misses/stale/evictions).
     pub fn result_cache_stats(&self) -> bionic_overlay::result_cache::CacheStats {
         self.result_cache.stats()
-    }
-
-    /// Latency summary of committed transactions (convenience).
-    pub fn latency_summary(&self) -> Summary {
-        self.stats.latency.summary()
     }
 
     /// Background overlay merges (§5.6's bulk merge back to disk).
@@ -1424,67 +1502,29 @@ impl Engine {
             .remove(&txn)
             .unwrap_or_else(|| panic!("resolve of unknown prepared txn {txn}"));
         self.tel.set_txn(txn);
-        let t = at;
         if commit {
-            let mut commit_cpu = self.sw_work(Category::Xct, 200, 3, AccessClass::Hot);
-            if self.cfg.exec == ExecModel::Conventional && p.locks_taken > 0 {
-                commit_cpu += self.sw_work(
-                    Category::Lock,
-                    130 * p.locks_taken,
-                    2 * p.locks_taken,
-                    AccessClass::Hot,
-                );
-            }
-            let done = if p.wrote {
-                let (log_cpu, buffered, _) =
-                    self.log_write(txn, LogBodyRef::Commit, p.agent, t + commit_cpu);
-                if self.fuse_blown() {
-                    return TxnOutcome::Interrupted;
-                }
-                commit_cpu += log_cpu;
-                let bytes = self.log.unflushed_bytes().max(1);
-                let (durable, e) = self.group_commit.durable_at(buffered, bytes);
-                self.platform.energy.charge(EnergyDomain::Storage, e);
-                self.log.flush();
-                self.log.append_ref(txn, LogBodyRef::End);
-                let (cstart, agent_done) = self.agents[p.agent].submit(t, commit_cpu);
-                let track = self.tel.core_track(p.agent);
-                self.tel
-                    .span(track, "commit", Category::Log.label(), cstart, agent_done);
-                agent_done.max(durable)
-            } else {
-                let (cstart, agent_done) = self.agents[p.agent].submit(t, commit_cpu);
-                let track = self.tel.core_track(p.agent);
-                self.tel
-                    .span(track, "commit", Category::Xct.label(), cstart, agent_done);
-                agent_done
+            let cpu = self.commit_cpu(p.locks_taken);
+            let body = p.wrote.then_some(LogBodyRef::Commit);
+            let Some(done) = self.seal(txn, body, p.agent, at, cpu, "commit") else {
+                return TxnOutcome::Interrupted;
             };
-            self.stats.committed += 1;
-            let latency = done - at;
-            self.stats.latency.record(latency);
-            self.stats.last_completion = self.stats.last_completion.max(done);
+            let latency = self.count_commit(done, at);
             self.maybe_merge(done);
             TxnOutcome::Committed { latency }
         } else {
             let rb_cpu = if p.wrote {
                 // Undo chain tail is the Prepare record; the walk skips it
                 // and compensates the data records like any runtime abort.
-                self.rollback(txn, &mut p.undo, p.agent, t)
+                self.rollback(txn, &mut p.undo, p.agent, at)
             } else {
                 // Read-only branch: nothing logged, nothing to undo.
                 self.sw_work(Category::Xct, 150, 3, AccessClass::Hot)
             };
-            let (rstart, done) = self.agents[p.agent].submit(t, rb_cpu);
-            let track = self.tel.core_track(p.agent);
-            self.tel
-                .span(track, "rollback", Category::Xct.label(), rstart, done);
-            self.stats.aborted += 1;
-            let latency = done - at;
-            self.stats.last_completion = self.stats.last_completion.max(done);
+            let done = self.count_abort(p.agent, at, rb_cpu);
             self.maybe_merge(done);
             TxnOutcome::Aborted {
                 reason: AbortReason::Coordinator,
-                latency,
+                latency: done - at,
             }
         }
     }
@@ -1509,26 +1549,11 @@ impl Engine {
         }
         self.tel.set_txn(gtxn);
         let mut cpu = self.sw_work(Category::Log, 200, 3, AccessClass::Hot);
-        let (c1, _, _) = self.log_write(gtxn, LogBodyRef::Begin, 0, at + cpu);
+        cpu += self.log_write(gtxn, LogBodyRef::Begin, 0, at + cpu).0;
         if self.fuse_blown() {
             return None;
         }
-        cpu += c1;
-        let (c2, buffered, _) = self.log_write(gtxn, LogBodyRef::Commit, 0, at + cpu);
-        if self.fuse_blown() {
-            return None;
-        }
-        cpu += c2;
-        let bytes = self.log.unflushed_bytes().max(1);
-        let (durable, e) = self.group_commit.durable_at(buffered, bytes);
-        self.platform.energy.charge(EnergyDomain::Storage, e);
-        self.log.flush();
-        self.log.append_ref(gtxn, LogBodyRef::End);
-        let (start, agent_done) = self.agents[0].submit(at, cpu);
-        let track = self.tel.core_track(0);
-        self.tel
-            .span(track, "decide", Category::Log.label(), start, agent_done);
-        Some(agent_done.max(durable))
+        self.seal(gtxn, Some(LogBodyRef::Commit), 0, at, cpu, "decide")
     }
 
     fn submit_inner(
@@ -1565,7 +1590,7 @@ impl Engine {
             0.0
         };
 
-        // Front-end: admission + routing on the dispatcher.
+        // Admit: admission + routing on the dispatcher.
         let fe_cpu = self.sw_work(Category::FrontEnd, 300, 5, AccessClass::Hot);
         let (fe_start, t0) = self.router.submit(arrive, fe_cpu);
         let track = self.tel.dispatch_track();
@@ -1583,69 +1608,34 @@ impl Engine {
 
         // Check the scratch buffers out for this transaction — they return
         // to `self.scratch` before every exit path below.
-        let mut undo = std::mem::take(&mut self.scratch.undo);
+        let mut cx = TxnCtx {
+            txn,
+            agent: 0,
+            undo: std::mem::take(&mut self.scratch.undo),
+            wrote: false,
+            logged_begin: false,
+            abort_on_missing_read: program.abort_on_missing_read,
+        };
         let mut written_tables = std::mem::take(&mut self.scratch.written_tables);
         let mut op_marks = std::mem::take(&mut self.scratch.op_marks);
         let mut completions = std::mem::take(&mut self.scratch.completions);
-        undo.clear();
+        cx.undo.clear();
         written_tables.clear();
-        let mut wrote = false;
-        let mut logged_begin = false;
         let mut abort: Option<AbortReason> = None;
         let mut interrupted = false;
-        let mut last_agent = 0usize;
         let mut locks_taken = 0u64;
 
         'phases: for phase in &program.phases {
             completions.clear();
             for action in phase {
-                let agent_idx = conventional_agent.unwrap_or_else(|| self.route(action));
-                last_agent = agent_idx;
-                let mut hand_off = SimTime::ZERO;
-                if self.cfg.exec == ExecModel::Dora {
-                    // Action creation + queue hand-off (Dora mechanics).
-                    let create = self.sw_work(Category::Dora, 100, 2, AccessClass::Hot);
-                    let cross = self.socket_of(agent_idx) != 0;
-                    let queue_hw_active = self.queue_hw.is_some() && self.placement_allows(U_QUEUE);
-                    let (gate, go) = if queue_hw_active {
-                        self.hw_gate(U_QUEUE, Category::Dora.label(), t)
-                    } else {
-                        (SimTime::ZERO, true)
-                    };
-                    let tq = t + gate;
-                    let (enq, deq, hw_op) = match self.queue_hw.as_mut() {
-                        Some(hw) if queue_hw_active && go => {
-                            let lat = hw.op_latency();
-                            let e = hw.enqueue(tq);
-                            let d = hw.dequeue(tq);
-                            self.platform.charge_fpga(e.energy + d.energy);
-                            (e.cpu_busy, d.cpu_busy, Some(lat))
-                        }
-                        _ => {
-                            let e = self.queue_sw.enqueue(cross);
-                            let d = self.queue_sw.dequeue(cross);
-                            if queue_hw_active {
-                                // Hardware queue refused this hand-off:
-                                // software enqueue/dequeue is fallback time.
-                                self.path_acc
-                                    .charge(SEG_FALLBACK, (e.cpu_busy + d.cpu_busy).as_ps());
-                            }
-                            (e.cpu_busy, d.cpu_busy, None)
-                        }
-                    };
-                    if let Some(lat) = hw_op {
-                        // The fabric serves the enqueue/dequeue pair
-                        // back-to-back; trace them as consecutive marks.
-                        let dora = Category::Dora.label();
-                        self.tel.unit_busy(U_QUEUE, "enqueue", dora, tq, tq + lat);
-                        self.tel
-                            .unit_busy(U_QUEUE, "dequeue", dora, tq + lat, tq + lat + lat);
-                    }
-                    self.cpu_time(Category::Dora, enq + deq);
-                    hand_off = gate + create + enq + deq;
+                // Route, then hand the action to its agent.
+                cx.agent = conventional_agent.unwrap_or_else(|| self.route(action));
+                let hand_off = if self.cfg.exec == ExecModel::Dora {
+                    self.hand_off_cost(cx.agent, t)
                 } else {
                     locks_taken += action.ops.len() as u64;
-                }
+                    SimTime::ZERO
+                };
                 // Execute the ops. CPU accumulates serially; asynchronous
                 // tails of the ops in one action OVERLAP — the agent issues
                 // every offload request of its action before waiting on the
@@ -1654,37 +1644,25 @@ impl Engine {
                 let start_hint = t + hand_off;
                 op_marks.clear();
                 for op in &action.ops {
-                    let was_write = op.is_write();
                     let cpu_before = cost.cpu;
-                    let (c, res) = self.exec_op(
-                        txn,
-                        op,
-                        agent_idx,
-                        start_hint,
-                        &mut undo,
-                        &mut wrote,
-                        &mut logged_begin,
-                        program.abort_on_missing_read,
-                    );
+                    let (c, res) = self.exec_op(&mut cx, op, start_hint);
                     cost.cpu += c.cpu;
                     cost.asy = cost.asy.max(c.asy);
                     if self.tel.enabled() {
                         let (name, cat) = op_span(op);
                         op_marks.push((name, cat, cpu_before, cost.cpu));
                     }
-                    if was_write && res.is_ok() {
-                        if let Op::Update { table, .. }
-                        | Op::Insert { table, .. }
-                        | Op::Delete { table, .. } = op
-                        {
-                            if !written_tables.contains(table) {
-                                written_tables.push(*table);
-                            }
-                        }
-                    }
                     if let Err(reason) = res {
                         abort = Some(reason);
                         break;
+                    }
+                    if let Op::Update { table, .. }
+                    | Op::Insert { table, .. }
+                    | Op::Delete { table, .. } = op
+                    {
+                        if !written_tables.contains(table) {
+                            written_tables.push(*table);
+                        }
                     }
                     // Crash fuse blown by one of this op's log appends: die
                     // here — no further ops, no rollback, no commit.
@@ -1693,18 +1671,13 @@ impl Engine {
                         break;
                     }
                 }
-                let (astart, agent_done) = self.agents[agent_idx].submit(start_hint, cost.cpu);
+                // Outer span = the action's agent occupancy; op marks nest
+                // inside it at their CPU offsets.
+                let agent_done =
+                    self.occupy(cx.agent, start_hint, cost.cpu, program.name, Category::Xct);
                 if self.tel.enabled() {
-                    // Outer span = the action's agent occupancy; op marks
-                    // nest inside it at their CPU offsets.
-                    let track = self.tel.core_track(agent_idx);
-                    self.tel.span(
-                        track,
-                        program.name,
-                        Category::Xct.label(),
-                        astart,
-                        agent_done,
-                    );
+                    let track = self.tel.core_track(cx.agent);
+                    let astart = agent_done - cost.cpu;
                     for &(name, cat, lo, hi) in &op_marks {
                         self.tel.span(track, name, cat, astart + lo, astart + hi);
                     }
@@ -1722,56 +1695,22 @@ impl Engine {
             }
         }
 
-        let outcome = 'outcome: {
-            if interrupted {
-                break 'outcome SubmitResult::Done(TxnOutcome::Interrupted);
-            }
-            match abort {
-                Some(reason) => {
-                    let rb_cpu = self.rollback(txn, &mut undo, last_agent, t);
-                    let (rstart, done) = self.agents[last_agent].submit(t, rb_cpu);
-                    let track = self.tel.core_track(last_agent);
-                    self.tel
-                        .span(track, "rollback", Category::Xct.label(), rstart, done);
-                    self.stats.aborted += 1;
-                    let latency = done - arrive;
-                    self.stats.last_completion = self.stats.last_completion.max(done);
-                    SubmitResult::Done(TxnOutcome::Aborted { reason, latency })
-                }
-                None if prepare.is_some() => {
-                    // 2PC phase one: durable Prepare vote instead of commit.
-                    let (gtxn, coord) = prepare.unwrap();
-                    let mut prep_cpu = self.sw_work(Category::Xct, 200, 3, AccessClass::Hot);
-                    let done = if wrote {
-                        let (log_cpu, buffered, _) = self.log_write(
-                            txn,
-                            LogBodyRef::Prepare { gtxn, coord },
-                            last_agent,
-                            t + prep_cpu,
-                        );
-                        // Torn-vote window: the Prepare record is volatile
-                        // and the fuse blew before the flush — the vote
-                        // never left this node; recovery sees a loser.
-                        if self.fuse_blown() {
-                            break 'outcome SubmitResult::Done(TxnOutcome::Interrupted);
-                        }
-                        prep_cpu += log_cpu;
-                        let bytes = self.log.unflushed_bytes().max(1);
-                        let (durable, e) = self.group_commit.durable_at(buffered, bytes);
-                        self.platform.energy.charge(EnergyDomain::Storage, e);
-                        self.log.flush();
-                        let (cstart, agent_done) = self.agents[last_agent].submit(t, prep_cpu);
-                        let track = self.tel.core_track(last_agent);
-                        self.tel
-                            .span(track, "prepare", Category::Log.label(), cstart, agent_done);
-                        agent_done.max(durable)
-                    } else {
-                        let (cstart, agent_done) = self.agents[last_agent].submit(t, prep_cpu);
-                        let track = self.tel.core_track(last_agent);
-                        self.tel
-                            .span(track, "prepare", Category::Xct.label(), cstart, agent_done);
-                        agent_done
-                    };
+        // Close on the last agent: roll back, vote, or commit.
+        let agent = cx.agent;
+        let outcome = if interrupted {
+            SubmitResult::Done(TxnOutcome::Interrupted)
+        } else if let Some(reason) = abort {
+            let rb_cpu = self.rollback(txn, &mut cx.undo, agent, t);
+            let latency = self.count_abort(agent, t, rb_cpu) - arrive;
+            SubmitResult::Done(TxnOutcome::Aborted { reason, latency })
+        } else if let Some((gtxn, coord)) = prepare {
+            // 2PC phase one: durable Prepare vote instead of commit. Locks
+            // stay held until the coordinator's decision.
+            let cpu = self.commit_cpu(0);
+            let body = cx.wrote.then_some(LogBodyRef::Prepare { gtxn, coord });
+            match self.seal(txn, body, agent, t, cpu, "prepare") {
+                None => SubmitResult::Done(TxnOutcome::Interrupted),
+                Some(done) => {
                     // Written state becomes visible to later branches on
                     // this node only at resolve; invalidate result caches
                     // now so nothing stale is served meanwhile.
@@ -1781,65 +1720,32 @@ impl Engine {
                     self.prepared.insert(
                         txn,
                         PreparedTxn {
-                            undo: std::mem::take(&mut undo),
-                            agent: last_agent,
+                            undo: std::mem::take(&mut cx.undo),
+                            agent,
                             locks_taken,
-                            wrote,
+                            wrote: cx.wrote,
                         },
                     );
-                    let latency = done - arrive;
                     self.stats.last_completion = self.stats.last_completion.max(done);
-                    SubmitResult::Prepared { txn, latency }
-                }
-                None => {
-                    // Commit.
-                    let commit_start = t;
-                    let mut commit_cpu = self.sw_work(Category::Xct, 200, 3, AccessClass::Hot);
-                    if self.cfg.exec == ExecModel::Conventional && locks_taken > 0 {
-                        commit_cpu += self.sw_work(
-                            Category::Lock,
-                            130 * locks_taken,
-                            2 * locks_taken,
-                            AccessClass::Hot,
-                        );
+                    SubmitResult::Prepared {
+                        txn,
+                        latency: done - arrive,
                     }
-                    let done = if wrote {
-                        let (log_cpu, buffered, _) =
-                            self.log_write(txn, LogBodyRef::Commit, last_agent, t + commit_cpu);
-                        // Torn-commit window: the Commit record is in the
-                        // volatile log but the fuse blew before the flush — the
-                        // transaction is NOT durable and must lose at recovery.
-                        if self.fuse_blown() {
-                            break 'outcome SubmitResult::Done(TxnOutcome::Interrupted);
-                        }
-                        commit_cpu += log_cpu;
-                        let bytes = self.log.unflushed_bytes().max(1);
-                        let (durable, e) = self.group_commit.durable_at(buffered, bytes);
-                        self.platform.energy.charge(EnergyDomain::Storage, e);
-                        self.log.flush();
-                        self.log.append_ref(txn, LogBodyRef::End);
-                        let (cstart, agent_done) = self.agents[last_agent].submit(t, commit_cpu);
-                        let track = self.tel.core_track(last_agent);
-                        self.tel
-                            .span(track, "commit", Category::Log.label(), cstart, agent_done);
-                        agent_done.max(durable)
-                    } else {
-                        let (cstart, agent_done) = self.agents[last_agent].submit(t, commit_cpu);
-                        let track = self.tel.core_track(last_agent);
-                        self.tel
-                            .span(track, "commit", Category::Xct.label(), cstart, agent_done);
-                        agent_done
-                    };
+                }
+            }
+        } else {
+            let cpu = self.commit_cpu(locks_taken);
+            let body = cx.wrote.then_some(LogBodyRef::Commit);
+            match self.seal(txn, body, agent, t, cpu, "commit") {
+                None => SubmitResult::Done(TxnOutcome::Interrupted),
+                Some(done) => {
                     for t in &written_tables {
                         self.result_cache.bump_table(*t);
                     }
-                    self.stats.committed += 1;
-                    let latency = done - arrive;
-                    self.stats.latency.record(latency);
-                    self.stats.last_completion = self.stats.last_completion.max(done);
+                    let latency = self.count_commit(done, arrive);
                     if let Some(attrib) = self.attrib.as_mut() {
                         self.path_acc
-                            .charge(SEG_COMMIT, done.saturating_sub(commit_start).as_ps());
+                            .charge(SEG_COMMIT, done.saturating_sub(t).as_ps());
                         let delta_j = self.platform.energy.total().as_j() - energy_mark;
                         let pj = (delta_j * 1e12).round().max(0.0) as u64;
                         attrib.record(program.name, latency.as_ps(), pj, &self.path_acc);
@@ -1848,7 +1754,7 @@ impl Engine {
                 }
             }
         };
-        self.scratch.undo = undo;
+        self.scratch.undo = cx.undo;
         self.scratch.written_tables = written_tables;
         self.scratch.op_marks = op_marks;
         self.scratch.completions = completions;

@@ -67,15 +67,6 @@ impl Patch {
             }
         }
     }
-
-    /// Approximate bytes the patch touches (for cost modeling).
-    pub fn touched_bytes(&self) -> usize {
-        match self {
-            Patch::Splice { bytes, .. } => bytes.len(),
-            Patch::AddI64 { .. } => 8,
-            Patch::Overwrite(bytes) => bytes.len(),
-        }
-    }
 }
 
 /// One primitive database operation.

@@ -138,11 +138,6 @@ impl SharedBandwidth {
         Self::new(bytes_per_sec, window, &[1, 1])
     }
 
-    /// Bytes one window can move at full rate.
-    pub fn capacity_per_window(&self) -> u64 {
-        self.capacity
-    }
-
     /// The arbitration window length.
     pub fn window(&self) -> SimTime {
         self.window
@@ -276,11 +271,6 @@ impl SharedBandwidth {
         }
         let sum: u64 = self.windows.values().map(|w| w.total).sum();
         sum as f64 / (self.capacity as f64 * self.windows.len() as f64)
-    }
-
-    /// Windows that received at least one grant.
-    pub fn windows_touched(&self) -> usize {
-        self.windows.len()
     }
 
     /// Verify the conservation invariant: every window's fill is within

@@ -255,13 +255,6 @@ impl Platform {
         done
     }
 
-    /// Read from the host SSD.
-    pub fn ssd_read(&mut self, arrive: SimTime, offset: u64, bytes: u64) -> SimTime {
-        let (done, e) = self.ssd.read(arrive, offset, bytes);
-        self.energy.charge(EnergyDomain::Storage, e);
-        done
-    }
-
     /// Charge energy to an FPGA unit's operations (units live in domain
     /// crates; they report energy here).
     pub fn charge_fpga(&mut self, e: Energy) {

@@ -48,15 +48,6 @@ impl Server {
     pub fn served(&self) -> u64 {
         self.served
     }
-
-    /// Utilization over the interval `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            0.0
-        } else {
-            (self.busy_total.as_ps() as f64 / horizon.as_ps() as f64).min(1.0)
-        }
-    }
 }
 
 /// A contended resource modeled by *windowed utilization* instead of a FIFO
@@ -256,7 +247,6 @@ mod tests {
         assert_eq!(done.as_ns(), 20.0);
         assert_eq!(s.served(), 2);
         assert_eq!(s.busy_time().as_ns(), 20.0);
-        assert!((s.utilization(SimTime::from_ns(40.0)) - 0.5).abs() < 1e-9);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Shard-merge laws for [`LogHistogram`] (the attribution invariant).
 //!
-//! Attribution cells are recorded per shard and folded back with
-//! `LogHistogram::merge` when the harness reassembles a sharded cell
-//! (`Engine::merge_attribution`). That recombination is only sound if
+//! Attribution cells recorded per shard fold back with
+//! `LogHistogram::merge` (through `Attribution::merge`) when a sharded
+//! cell is reassembled. That recombination is only sound if
 //! merge obeys the algebra proven here: splitting a sample stream
 //! anywhere and merging the pieces reproduces the unsharded histogram
 //! exactly, merge is associative and commutative, and the empty

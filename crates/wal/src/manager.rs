@@ -205,11 +205,6 @@ impl LogManager {
         (self.durable_lsn, bytes)
     }
 
-    /// Is `lsn` durable?
-    pub fn is_durable(&self, lsn: Lsn) -> bool {
-        lsn < self.durable_lsn
-    }
-
     /// Simulate a crash: return the durable portion of the retained log
     /// (what recovery will see), together with its base LSN.
     pub fn crash_image(&self) -> Vec<u8> {
