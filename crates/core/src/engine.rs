@@ -25,6 +25,7 @@ use bionic_btree::probe::ProbeEngine;
 use bionic_overlay::overlay::OverlayIndex;
 use bionic_overlay::result_cache::ResultCache;
 use bionic_queue::timing::{HwQueueTiming, SwQueueTiming};
+use bionic_sim::arbiter::BwClient;
 use bionic_sim::platform::{Platform, PlatformConfig};
 use bionic_sim::server::{FluidQueue, Server};
 use bionic_sim::stats::Histogram;
@@ -38,6 +39,30 @@ use bionic_wal::timing::{
     ConsolidatedLog, GroupCommit, HwLog, InsertTiming, LatchedLog, LogInsertModel, SwLogParams,
 };
 use bionic_wal::TxnId;
+
+/// Registry names `collect_metrics` would otherwise `format!` on every call:
+/// per arbiter client `{label}_bytes`, `{label}_wait_events`,
+/// `{label}_queued_us`.
+const ARBITER_CLIENT_METRICS: [(BwClient, [&str; 3]); 2] = [
+    (
+        BwClient::Oltp,
+        ["oltp_bytes", "oltp_wait_events", "oltp_queued_us"],
+    ),
+    (
+        BwClient::Olap,
+        ["olap_bytes", "olap_wait_events", "olap_queued_us"],
+    ),
+];
+
+/// Per §5 unit, in [`bionic_telemetry::UNIT_NAMES`] order: its fault scope
+/// `fault/{unit}` and its placement gauge `{unit}_forced_sw`.
+const UNIT_METRICS: [(&str, &str); bionic_telemetry::UNIT_NAMES.len()] = [
+    ("fault/tree-probe", "tree-probe_forced_sw"),
+    ("fault/log-insert", "log-insert_forced_sw"),
+    ("fault/queue", "queue_forced_sw"),
+    ("fault/overlay", "overlay_forced_sw"),
+    ("fault/scanner", "scanner_forced_sw"),
+];
 
 /// The pluggable log-insertion path.
 pub(crate) enum LogPath {
@@ -413,8 +438,11 @@ impl Engine {
 
     /// Pull a metrics snapshot from every layer into the telemetry
     /// registry (engine, WAL, bufferpool, queues, probe engine, fabric,
-    /// PCIe, SG-DRAM, host caches, energy domains). Cold-path: call at the
-    /// end of a run or at a failure capture point, not per transaction.
+    /// PCIe, SG-DRAM, host caches, energy domains). Call it at the end of a
+    /// run, at a failure capture point, or at each crossing of a snapshot
+    /// grid (`run_hybrid` does, every 100 µs of simulated time in E13/E15)
+    /// — not per transaction. Re-setting the metrics of an earlier call
+    /// allocates nothing: every name below is static.
     pub fn collect_metrics(&mut self) {
         let counters = self.platform.counters();
         let pool = self.pool.stats();
@@ -473,25 +501,11 @@ impl Engine {
         m.counter("sg-dram", "accesses", counters.sg_dram_accesses);
         if let Some(c) = &self.platform.contention {
             for (scope, arb) in [("arbiter/sg", &c.sg), ("arbiter/link", &c.link)] {
-                for client in [
-                    bionic_sim::arbiter::BwClient::Oltp,
-                    bionic_sim::arbiter::BwClient::Olap,
-                ] {
-                    m.counter(
-                        scope,
-                        &format!("{}_bytes", client.label()),
-                        arb.client_bytes(client.index()),
-                    );
-                    m.counter(
-                        scope,
-                        &format!("{}_wait_events", client.label()),
-                        arb.client_wait_events(client.index()),
-                    );
-                    m.gauge(
-                        scope,
-                        &format!("{}_queued_us", client.label()),
-                        arb.client_queued(client.index()).as_us(),
-                    );
+                for (client, [bytes, wait_events, queued_us]) in ARBITER_CLIENT_METRICS {
+                    let c = client.index();
+                    m.counter(scope, bytes, arb.client_bytes(c));
+                    m.counter(scope, wait_events, arb.client_wait_events(c));
+                    m.gauge(scope, queued_us, arb.client_queued(c).as_us());
                 }
                 m.counter(scope, "requests", arb.requests());
                 m.gauge(scope, "max_fill_frac", arb.max_fill_frac());
@@ -519,19 +533,18 @@ impl Engine {
 
         if let Some(layer) = &self.faults {
             let now = self.stats.last_completion;
-            for r in layer.report(now) {
-                let scope = format!("fault/{}", r.unit);
-                m.counter(&scope, "ops", r.stats.ops);
-                m.counter(&scope, "hw_ok", r.stats.hw_ok);
-                m.counter(&scope, "retries", r.stats.retries);
-                m.counter(&scope, "fallbacks", r.stats.fallbacks);
-                m.counter(&scope, "stalls", r.stats.stalls);
-                m.counter(&scope, "crc_errors", r.stats.crc_errors);
-                m.counter(&scope, "ecc_errors", r.stats.ecc_errors);
-                m.counter(&scope, "breaker_opens", r.breaker_opens);
-                m.counter(&scope, "breaker_closes", r.breaker_closes);
-                m.gauge(&scope, "breaker_state", f64::from(r.breaker_state.as_u8()));
-                m.gauge(&scope, "time_degraded_us", r.time_degraded.as_us());
+            for (r, (scope, _)) in layer.report(now).iter().zip(UNIT_METRICS) {
+                m.counter(scope, "ops", r.stats.ops);
+                m.counter(scope, "hw_ok", r.stats.hw_ok);
+                m.counter(scope, "retries", r.stats.retries);
+                m.counter(scope, "fallbacks", r.stats.fallbacks);
+                m.counter(scope, "stalls", r.stats.stalls);
+                m.counter(scope, "crc_errors", r.stats.crc_errors);
+                m.counter(scope, "ecc_errors", r.stats.ecc_errors);
+                m.counter(scope, "breaker_opens", r.breaker_opens);
+                m.counter(scope, "breaker_closes", r.breaker_closes);
+                m.gauge(scope, "breaker_state", f64::from(r.breaker_state.as_u8()));
+                m.gauge(scope, "time_degraded_us", r.time_degraded.as_us());
             }
         }
 
@@ -541,12 +554,8 @@ impl Engine {
             m.counter("placement", "shed_windows", r.shed_windows);
             m.counter("placement", "brownout_windows", r.brownout_windows);
             m.counter("placement", "transitions", r.transitions);
-            for (u, name) in bionic_telemetry::UNIT_NAMES.iter().enumerate() {
-                m.gauge(
-                    "placement",
-                    &format!("{name}_forced_sw"),
-                    f64::from(u8::from(r.forced_sw[u])),
-                );
+            for (forced, (_, gauge)) in r.forced_sw.iter().zip(UNIT_METRICS) {
+                m.gauge("placement", gauge, f64::from(u8::from(*forced)));
             }
         }
     }

@@ -814,6 +814,42 @@ fn fault_counters_flow_into_the_metrics_registry() {
     );
 }
 
+#[test]
+fn static_metric_names_follow_the_unit_and_client_labels() {
+    use bionic_sim::arbiter::BwClient;
+    use bionic_sim::fault::HwFaultConfig;
+    // `collect_metrics` spells these names out instead of formatting them
+    // per call; they must stay what the labels would have produced.
+    let (mut e, t) = loaded_engine(
+        EngineConfig::bionic()
+            .with_hw_faults(HwFaultConfig::uniform(2_000))
+            .with_placement(Default::default()),
+        100,
+    );
+    e.platform.enable_contention();
+    run_updates(&mut e, t, 100);
+    e.collect_metrics();
+    let m = e.tel.metrics();
+    for unit in bionic_telemetry::UNIT_NAMES {
+        assert!(m.get(&format!("fault/{unit}"), "ops").is_some(), "{unit}");
+        assert!(
+            m.get("placement", &format!("{unit}_forced_sw")).is_some(),
+            "{unit}"
+        );
+    }
+    for label in [BwClient::Oltp.label(), BwClient::Olap.label()] {
+        for scope in ["arbiter/sg", "arbiter/link"] {
+            for suffix in ["bytes", "wait_events", "queued_us"] {
+                assert!(m.get(scope, &format!("{label}_{suffix}")).is_some());
+            }
+        }
+    }
+    let in_scopes = |pred: &dyn Fn(&str) -> bool| m.iter().filter(|(s, _, _)| pred(s)).count();
+    assert_eq!(in_scopes(&|s| s.starts_with("fault/")), 5 * 11);
+    assert_eq!(in_scopes(&|s| s == "placement"), 4 + 5);
+    assert_eq!(in_scopes(&|s| s.starts_with("arbiter/")), 2 * (2 * 3 + 4));
+}
+
 // ---- two-phase commit branches ---------------------------------------------
 
 #[test]

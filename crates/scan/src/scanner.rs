@@ -16,12 +16,14 @@ use bionic_sim::energy::{Energy, EnergyDomain};
 use bionic_sim::platform::Platform;
 use bionic_sim::time::SimTime;
 use bionic_storage::columnar::ColumnarTable;
+use std::sync::Arc;
 
 /// Outcome of a scan.
 #[derive(Debug, Clone)]
 pub struct ScanOutcome {
-    /// Matching row indexes, ascending.
-    pub matches: Vec<usize>,
+    /// Matching row indexes, ascending — shared with the [`ScanEval`] they
+    /// came from, so a replayed scan hands them out without copying them.
+    pub matches: Arc<[usize]>,
     /// Payload bytes that crossed PCIe.
     pub pcie_bytes: u64,
     /// Completion time.
@@ -44,7 +46,7 @@ pub struct ScanOutcome {
 #[derive(Debug, Clone)]
 pub struct ScanEval {
     /// Matching row indexes, ascending.
-    pub matches: Vec<usize>,
+    pub matches: Arc<[usize]>,
     /// NFA state visits accumulated while filtering (§4 software cost).
     pub nfa_visits: u64,
 }
@@ -53,7 +55,7 @@ impl ScanEval {
     /// Evaluate `req` over every row of `table`.
     pub fn compute(table: &ColumnarTable, req: &ScanRequest) -> Self {
         let mut nfa_visits = 0u64;
-        let matches: Vec<usize> = (0..table.rows())
+        let matches = (0..table.rows())
             .filter(|&r| req.matches_counting(table, r, &mut nfa_visits))
             .collect();
         ScanEval {
@@ -145,7 +147,7 @@ pub fn scan_software_with(
         filtered_at
     };
     ScanOutcome {
-        matches: eval.matches.clone(),
+        matches: Arc::clone(&eval.matches),
         pcie_bytes: pred_bytes + proj_bytes,
         done,
         sg_wait: SimTime::ZERO,
@@ -217,7 +219,7 @@ pub fn scan_enhanced_with(
         filtered_at
     };
     ScanOutcome {
-        matches: eval.matches.clone(),
+        matches: Arc::clone(&eval.matches),
         pcie_bytes: proj_bytes,
         done,
         sg_wait,

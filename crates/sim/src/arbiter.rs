@@ -24,6 +24,13 @@
 //! penalizes an earlier-timestamped request, which lands in its own
 //! (earlier) windows.
 //!
+//! Grants only ever grow, so a window that has nothing left for a client —
+//! it is full, or the client is share-capped there and has used its quota —
+//! never will again. Each client keeps those *closed* windows as runs, and
+//! [`SharedBandwidth::request`] jumps over a run instead of re-testing the
+//! backlog in front of it window by window (DESIGN.md, "Shared-bandwidth
+//! contention", has the argument for why the jump is exact).
+//!
 //! Two independently maintained ledgers back the conservation invariant
 //! the E13 property test checks: per-window fills never exceed capacity,
 //! and the per-client byte totals sum exactly to the grand total.
@@ -103,6 +110,11 @@ pub struct SharedBandwidth {
     /// delay — the "how often did backpressure bite" rate the windowed
     /// snapshots report.
     per_client_wait_events: Vec<u64>,
+    /// Per client, the windows that can never grant it another byte, as
+    /// maximal runs `start → end` (half-open). Sized by windows touched: a
+    /// run only ever covers windows present in `windows`.
+    closed: Vec<BTreeMap<u64, u64>>,
+    per_client_examined: Vec<u64>,
 }
 
 impl SharedBandwidth {
@@ -130,6 +142,8 @@ impl SharedBandwidth {
             queued_total: SimTime::ZERO,
             per_client_queued: vec![SimTime::ZERO; weights.len()],
             per_client_wait_events: vec![0; weights.len()],
+            closed: vec![BTreeMap::new(); weights.len()],
+            per_client_examined: vec![0; weights.len()],
         }
     }
 
@@ -164,6 +178,27 @@ impl SharedBandwidth {
             .any(|(_, win)| win.total > win.per_client[client])
     }
 
+    /// The first window at or after `w` not known closed to `client`.
+    fn next_open(&self, client: usize, w: u64) -> u64 {
+        match self.closed[client].range(..=w).next_back() {
+            Some((_, &end)) if end > w => end,
+            _ => w,
+        }
+    }
+
+    /// Record that window `w` (open until now) will never grant `client`
+    /// another byte, merging it with the runs it touches.
+    fn close(&mut self, client: usize, w: u64) {
+        let runs = &mut self.closed[client];
+        let end = runs.remove(&(w + 1)).unwrap_or(w + 1);
+        match runs.range_mut(..w).next_back() {
+            Some((_, run_end)) if *run_end == w => *run_end = end,
+            _ => {
+                runs.insert(w, end);
+            }
+        }
+    }
+
     /// Uncontended wire time for `bytes`.
     pub fn wire_time(&self, bytes: u64) -> SimTime {
         SimTime::from_secs(bytes as f64 / self.bytes_per_sec)
@@ -181,10 +216,11 @@ impl SharedBandwidth {
             };
         }
         let quota = self.quota(client);
-        let mut w = self.window_index(arrive);
+        let mut w = self.next_open(client, self.window_index(arrive));
         let mut remaining = bytes;
         let mut last_fill = 0u64;
         while remaining > 0 {
+            self.per_client_examined[client] += 1;
             let capped = self.contended(client, w);
             let n_clients = self.weights.len();
             let win = self.windows.entry(w).or_insert_with(|| Window {
@@ -207,8 +243,16 @@ impl SharedBandwidth {
                 last_fill = win.total;
                 self.max_fill = self.max_fill.max(win.total);
             }
+            // Closed for good: `total` only grows, and so does every
+            // rival's grant in `[w - ACTIVITY_HORIZON, w]`, so neither a
+            // full window nor a capped client's spent quota ever reopens.
+            // (A skipped window loses nothing: an entry is only created
+            // together with a non-zero grant.)
+            if win.total == self.capacity || (capped && win.per_client[client] >= quota) {
+                self.close(client, w);
+            }
             if remaining > 0 {
-                w += 1;
+                w = self.next_open(client, w + 1);
             }
         }
         // Drain point of the last window touched: the window's scheduled
@@ -239,6 +283,17 @@ impl SharedBandwidth {
     /// Requests arbitrated so far.
     pub fn requests(&self) -> u64 {
         self.requests
+    }
+
+    /// Windows tested for a grant across all requests — the arbiter's own
+    /// work, which must not grow with the backlog a request lands behind.
+    pub fn windows_examined(&self) -> u64 {
+        self.per_client_examined.iter().sum()
+    }
+
+    /// Windows tested for a grant on behalf of one client.
+    pub fn client_windows_examined(&self, client: usize) -> u64 {
+        self.per_client_examined[client]
     }
 
     /// Sum of all arbitration delays handed out.
@@ -439,6 +494,33 @@ mod tests {
             "per-client queued delays must sum to the total"
         );
         a.check_conservation().unwrap();
+    }
+
+    #[test]
+    fn a_growing_backlog_does_not_grow_the_work_per_request() {
+        // E13's regime: a transaction stream in every window keeps the scan
+        // share-capped at half of SG-DRAM while it offers three quarters, so
+        // each scan queues behind a backlog that lengthens for the whole
+        // run. The windows one scan tests must depend on its size (1.6 MB at
+        // a 200 KB quota: 8), not on that backlog.
+        let per_scan = |scans: u64| {
+            let mut a = sg();
+            for w in 0..scans * 8 {
+                a.request(BwClient::Oltp.index(), SimTime::from_us(5.0) * w, 256);
+            }
+            let period = SimTime::from_secs(1.6e6 / (0.75 * 80e9));
+            for i in 0..scans {
+                a.request(BwClient::Olap.index(), period * i, 1_600_000);
+            }
+            a.check_conservation().unwrap();
+            a.client_windows_examined(BwClient::Olap.index()) as f64 / scans as f64
+        };
+        let (short, long) = (per_scan(150), per_scan(750));
+        assert!(short < 12.0, "short run: {short} windows per scan");
+        assert!(
+            (long / short - 1.0).abs() < 0.1,
+            "windows examined per scan: {short} over 150 scans, {long} over 750"
+        );
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! `prop_snapshot_conservation.rs` pins this.
 
 use crate::export::fmt_us;
-use crate::metrics::{MetricValue, MetricsRegistry};
+use crate::metrics::{Keyed, MetricValue, MetricsRegistry};
 use bionic_sim::time::SimTime;
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// One captured metric in a window: a counter's exact delta or a gauge's
 /// end-of-window level.
@@ -58,15 +58,15 @@ pub struct SnapshotWindow {
     pub start: SimTime,
     /// Window end (exclusive), sim time. The final window may be partial.
     pub end: SimTime,
-    rows: Vec<(String, String, WindowValue)>,
+    /// Key strings are the registry's own, shared: a run of 800 windows
+    /// repeats each name 800 times.
+    rows: Vec<(Arc<str>, Arc<str>, WindowValue)>,
 }
 
 impl SnapshotWindow {
     /// All `(scope, name, value)` rows, sorted by `(scope, name)`.
     pub fn rows(&self) -> impl Iterator<Item = (&str, &str, WindowValue)> {
-        self.rows
-            .iter()
-            .map(|(s, n, v)| (s.as_str(), n.as_str(), *v))
+        self.rows.iter().map(|(s, n, v)| (&**s, &**n, *v))
     }
 
     /// This window's counter delta for `scope/name` (0 when absent or a
@@ -74,7 +74,7 @@ impl SnapshotWindow {
     pub fn counter_delta(&self, scope: &str, name: &str) -> i64 {
         self.rows
             .iter()
-            .find(|(s, n, _)| s == scope && n == name)
+            .find(|(s, n, _)| **s == *scope && **n == *name)
             .and_then(|(_, _, v)| match v {
                 WindowValue::Delta(d) => Some(*d),
                 _ => None,
@@ -87,7 +87,7 @@ impl SnapshotWindow {
     pub fn gauge_level(&self, scope: &str, name: &str) -> Option<f64> {
         self.rows
             .iter()
-            .find(|(s, n, _)| s == scope && n == name)
+            .find(|(s, n, _)| **s == *scope && **n == *name)
             .and_then(|(_, _, v)| match v {
                 WindowValue::Level(l) => Some(*l),
                 _ => None,
@@ -100,7 +100,7 @@ impl SnapshotWindow {
 pub struct SnapshotHub {
     window: SimTime,
     windows: Vec<SnapshotWindow>,
-    prev_counters: BTreeMap<(String, String), u64>,
+    prev_counters: Keyed<u64>,
     cursor: SimTime,
 }
 
@@ -111,7 +111,7 @@ impl SnapshotHub {
         SnapshotHub {
             window,
             windows: Vec::new(),
-            prev_counters: BTreeMap::new(),
+            prev_counters: Keyed::default(),
             cursor: SimTime::ZERO,
         }
     }
@@ -142,16 +142,15 @@ impl SnapshotHub {
         let start = self.cursor;
         let end = end.max(start);
         let mut rows = Vec::with_capacity(metrics.len());
-        for (scope, name, value) in metrics.iter() {
+        for (scope, name, value) in metrics.shared() {
             let wv = match value {
                 MetricValue::Counter(cur) => {
-                    let key = (scope.to_string(), name.to_string());
-                    let prev = self.prev_counters.insert(key, cur).unwrap_or(0);
+                    let prev = self.prev_counters.insert(scope, name, cur).unwrap_or(0);
                     WindowValue::Delta(cur as i64 - prev as i64)
                 }
                 MetricValue::Gauge(level) => WindowValue::Level(level),
             };
-            rows.push((scope.to_string(), name.to_string(), wv));
+            rows.push((Arc::clone(scope), Arc::clone(name), wv));
         }
         self.windows.push(SnapshotWindow {
             index: self.windows.len() as u64,

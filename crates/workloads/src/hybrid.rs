@@ -152,6 +152,38 @@ fn scan_request() -> ScanRequest {
     }
 }
 
+/// The analytic side of one run: everything a scan arrival needs, built
+/// once.
+struct ScanStream {
+    table: ColumnarTable,
+    /// The scan table and request never change within a run, so the
+    /// functional half of every scan (matching rows + NFA visits) is the
+    /// same each time: evaluated once here and replayed. The `*_with` scan
+    /// variants price from its aggregates exactly as the recomputing paths
+    /// do, so every outcome is byte-identical to re-filtering per scan.
+    eval: ScanEval,
+    /// Predicate-column bytes one scan streams.
+    pred_bytes: u64,
+    /// Offered load p × 80 GB/s: one scan of `pred_bytes` every
+    /// `pred_bytes / (p × bw)`.
+    period: SimTime,
+}
+
+impl ScanStream {
+    fn new(cfg: &HybridConfig, req: &ScanRequest) -> Self {
+        let table = analytics_table(cfg.scan_rows);
+        let eval = ScanEval::compute(&table, req);
+        let pred_bytes = cfg.scan_rows as u64 * req.predicate_width(&table) as u64;
+        let sg_bw = 80e9f64;
+        ScanStream {
+            period: SimTime::from_secs(pred_bytes as f64 / (cfg.scan_pressure * sg_bw)),
+            table,
+            eval,
+            pred_bytes,
+        }
+    }
+}
+
 /// Run the hybrid workload on `engine`. Enables shared-bandwidth
 /// arbitration on the engine's platform, loads TATP, then merges the
 /// transaction and scan arrival streams in simulated-time order.
@@ -164,26 +196,13 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
     let tables = tatp::load(engine, &cfg.tatp);
     let subscriber_table = tables.subscriber;
     let mut generator = TatpGenerator::new(cfg.tatp.clone(), tables);
-    let scan_table = analytics_table(cfg.scan_rows);
     let req = scan_request();
     let scanner_cfg = ScannerConfig::default();
-    // The scan table and request never change within a run, so the
-    // functional half of every scan (matching rows + NFA visits) is the
-    // same each time: evaluate it once and replay it. The `*_with` scan
-    // variants price from its aggregates exactly as the recomputing paths
-    // do, so every outcome is byte-identical to re-filtering per scan.
-    let scan_eval = ScanEval::compute(&scan_table, &req);
-
-    // Offered load p × 80 GB/s: one scan of `pred_bytes` every
-    // `pred_bytes / (p × bw)`. Pressure 0 pushes the first scan past the
-    // end of the run.
-    let pred_bytes = cfg.scan_rows as u64 * req.predicate_width(&scan_table) as u64;
-    let sg_bw = 80e9f64;
-    let scan_period = if cfg.scan_pressure > 0.0 {
-        SimTime::from_secs(pred_bytes as f64 / (cfg.scan_pressure * sg_bw))
-    } else {
-        SimTime::MAX
-    };
+    // Pressure 0 (or a load too small to ever arrive) schedules no scan, so
+    // it builds no table and evaluates nothing.
+    let scan_stream = (cfg.scan_pressure > 0.0)
+        .then(|| ScanStream::new(cfg, &req))
+        .filter(|s| s.period != SimTime::MAX);
 
     let mut m = Measurement::begin(engine);
     let cache_before = engine.result_cache_stats();
@@ -200,11 +219,9 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
     let mut scan_i = 0u64;
     while txn_i < cfg.txns {
         let txn_at = cfg.inter_arrival * txn_i;
-        let scan_at = if scan_period == SimTime::MAX {
-            SimTime::MAX
-        } else {
-            scan_period * scan_i
-        };
+        let scan_at = scan_stream
+            .as_ref()
+            .map_or(SimTime::MAX, |s| s.period * scan_i);
         if let Some(hub) = hub.as_mut() {
             // Grid crossing: collect every layer's counters and capture the
             // finished window(s) before the next arrival runs. Times on the
@@ -225,6 +242,7 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
             // Scan arrivals drive the placement window grid too — without
             // this, a pure-scan stretch would leave the controller blind
             // between transactions.
+            let stream = scan_stream.as_ref().expect("a scan arrived from it");
             engine.placement_tick(base + scan_at);
             // Route through the degraded-mode dispatcher: with the fault
             // layer off this is exactly `scan_enhanced`; with it armed the
@@ -236,21 +254,21 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
             let out = if cfg.software_scans || engine.placement_scan_software() {
                 scan_software_with(
                     &mut engine.platform,
-                    &scan_table,
+                    &stream.table,
                     &req,
                     base + scan_at,
-                    &scan_eval,
+                    &stream.eval,
                 )
             } else {
                 let (platform, scan_unit) = engine.scan_parts();
                 scan_dispatch_with(
                     platform,
-                    &scan_table,
+                    &stream.table,
                     &req,
                     base + scan_at,
                     &scanner_cfg,
                     scan_unit,
-                    &scan_eval,
+                    &stream.eval,
                 )
             };
             let wait = out.sg_wait + out.link_wait;
@@ -309,6 +327,7 @@ pub fn run_hybrid(engine: &mut Engine, cfg: &HybridConfig) -> HybridReport {
         scan_bytes_per_sec: if scan_span.is_zero() {
             0.0
         } else {
+            let pred_bytes = scan_stream.as_ref().map_or(0, |s| s.pred_bytes);
             (scans * pred_bytes) as f64 / scan_span.as_secs()
         },
         queries,
@@ -456,6 +475,35 @@ mod tests {
             .sum();
         assert!(waited > 0, "scan pressure should queue some probes");
         check_conservation(&engine).unwrap();
+    }
+
+    #[test]
+    fn a_scan_examines_the_same_few_arbiter_windows_however_long_the_run() {
+        // The `htap_scan` call (attribution, 100 us snapshots, pressure 0.75)
+        // at a fifth of its length and in full. The scan stream queues behind
+        // a backlog that grows all run long; testing that backlog window by
+        // window cost 63 windows per scan at 8 000 transactions and 264 at
+        // 40 000. One enhanced scan books SG-DRAM once, so scans = requests.
+        for txns in [8_000, 40_000] {
+            let mut engine = Engine::new(EngineConfig::bionic());
+            engine.enable_attribution();
+            let cfg = HybridConfig {
+                tatp: TatpConfig {
+                    subscribers: 2_000,
+                    seed: 1,
+                },
+                txns,
+                snapshot_window: Some(SimTime::from_us(100.0)),
+                ..HybridConfig::small(0.75)
+            };
+            let report = run_hybrid(&mut engine, &cfg);
+            let sg = &engine.platform.contention.as_ref().unwrap().sg;
+            let per_scan = sg.client_windows_examined(1) as f64 / report.scans as f64;
+            assert!(per_scan <= 12.0, "{txns} txns: {per_scan} windows per scan");
+            let oltp_requests = sg.requests() - report.scans;
+            let per_oltp = sg.client_windows_examined(0) as f64 / oltp_requests as f64;
+            assert!(per_oltp <= 1.2, "{txns} txns: {per_oltp} windows per probe");
+        }
     }
 
     #[test]

@@ -5,13 +5,20 @@
 //! borrowed WAL appends); what remains is the abort path (~3 % of TATP
 //! transactions replay undo records into freshly decoded values) and
 //! incidental map growth. This binary installs a counting global allocator
-//! — which is why it holds exactly one test — and pins the whole loop under
-//! one allocation per *transaction*, with attribution on as well, since
-//! E13/E14 run with it.
+//! (counting per thread, so its tests do not see each other) and pins the
+//! whole loop under one allocation per *transaction*, with attribution on
+//! as well, since E13/E14 run with it.
+//!
+//! The second budget is the windowed snapshot feed of `run_hybrid`: E13/E15
+//! and the `htap_scan` benchmark capture every metric each 100 µs of
+//! simulated time, so a capture may allocate its row vector and little
+//! else — no metric name is formatted or copied again.
 
 use bionic_core::config::EngineConfig;
 use bionic_core::engine::Engine;
 use bionic_sim::time::SimTime;
+use bionic_telemetry::MetricsRegistry;
+use bionic_workloads::hybrid::{run_hybrid, HybridConfig};
 use bionic_workloads::tatp::{self, TatpConfig, TatpGenerator};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -94,4 +101,47 @@ fn pooled_tatp_loop_stays_under_one_allocation_per_txn() {
             "{name}: steady-state loop allocates {per_txn:.2}/txn (budget 1)"
         );
     }
+}
+
+#[test]
+fn a_snapshot_window_costs_its_rows_and_no_metric_names() {
+    // What the snapshot feed adds to a run is the with/without difference;
+    // what one more window adds is that difference's growth with run length
+    // (the first capture creates every key once, and that cancels).
+    let measure = |txns: u64, snapshots: bool| {
+        let mut engine = Engine::new(EngineConfig::bionic());
+        engine.enable_attribution();
+        let cfg = HybridConfig {
+            txns,
+            snapshot_window: snapshots.then(|| SimTime::from_us(100.0)),
+            ..HybridConfig::small(0.75)
+        };
+        let before = ALLOCS.with(Cell::get);
+        let report = run_hybrid(&mut engine, &cfg);
+        let allocs = ALLOCS.with(Cell::get) - before;
+        (allocs, report.snapshots.map_or(0, |hub| hub.len() as u64))
+    };
+    let feed = |txns| {
+        let (with, windows) = measure(txns, true);
+        (with - measure(txns, false).0, windows)
+    };
+    let ((short, short_windows), (long, long_windows)) = (feed(1_000), feed(4_000));
+    assert!(
+        long_windows >= short_windows + 50,
+        "{short_windows} -> {long_windows}"
+    );
+    let per_window = (long - short) as f64 / (long_windows - short_windows) as f64;
+    assert!(
+        per_window < 4.0,
+        "each further snapshot window allocates {per_window:.1} times (budget 4)"
+    );
+
+    let mut m = MetricsRegistry::new();
+    m.counter("engine", "committed", 1);
+    m.gauge("engine", "last_completion_us", 1.0);
+    let before = ALLOCS.with(Cell::get);
+    m.counter("engine", "committed", 2);
+    m.gauge("engine", "last_completion_us", 2.0);
+    assert_eq!(m.counter_value("engine", "committed"), 2);
+    assert_eq!(ALLOCS.with(Cell::get) - before, 0, "re-setting a key");
 }
