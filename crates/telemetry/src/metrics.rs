@@ -6,9 +6,9 @@
 //! metric it knows at the end of a run, at a failure snapshot, and — under
 //! a windowed [`crate::SnapshotHub`] — at every grid crossing of the run
 //! (E13/E15 cross one each 100 µs of simulated time). That last caller makes
-//! re-setting an existing key the common operation, so keys are
-//! [`Keyed`]: looked up by `&str`, allocated once, shared by `Arc` with the
-//! snapshot rows that repeat them.
+//! re-setting an existing key the common operation, so keys are looked up
+//! by `&str`, allocated once, and shared by `Arc` with the snapshot rows
+//! that repeat them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -326,8 +326,8 @@ impl Telemetry {
         &self.metrics
     }
 
-    /// The metrics registry (write) — collection is cold-path, so this is
-    /// not gated on `enabled`.
+    /// The metrics registry (write) — collection is per run or per snapshot
+    /// window, never per span, so this is not gated on `enabled`.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
     }

@@ -364,6 +364,7 @@ pub fn check_conservation(engine: &Engine) -> Result<(), String> {
 mod tests {
     use super::*;
     use bionic_core::config::EngineConfig;
+    use bionic_sim::arbiter::BwClient;
 
     fn run_at(pressure: f64) -> (HybridReport, Engine) {
         let mut engine = Engine::new(EngineConfig::bionic());
@@ -482,7 +483,7 @@ mod tests {
         // The `htap_scan` call (attribution, 100 us snapshots, pressure 0.75)
         // at a fifth of its length and in full. The scan stream queues behind
         // a backlog that grows all run long; testing that backlog window by
-        // window cost 63 windows per scan at 8 000 transactions and 264 at
+        // window cost 62 windows per scan at 8 000 transactions and 297 at
         // 40 000. One enhanced scan books SG-DRAM once, so scans = requests.
         for txns in [8_000, 40_000] {
             let mut engine = Engine::new(EngineConfig::bionic());
@@ -498,10 +499,11 @@ mod tests {
             };
             let report = run_hybrid(&mut engine, &cfg);
             let sg = &engine.platform.contention.as_ref().unwrap().sg;
-            let per_scan = sg.client_windows_examined(1) as f64 / report.scans as f64;
+            let examined = |c: BwClient| sg.client_windows_examined(c.index()) as f64;
+            let per_scan = examined(BwClient::Olap) / report.scans as f64;
             assert!(per_scan <= 12.0, "{txns} txns: {per_scan} windows per scan");
             let oltp_requests = sg.requests() - report.scans;
-            let per_oltp = sg.client_windows_examined(0) as f64 / oltp_requests as f64;
+            let per_oltp = examined(BwClient::Oltp) / oltp_requests as f64;
             assert!(per_oltp <= 1.2, "{txns} txns: {per_oltp} windows per probe");
         }
     }
