@@ -4,7 +4,6 @@
 //! cargo run --release -p bionic-bench --bin figures             # everything
 //! cargo run --release -p bionic-bench --bin figures f3 e8       # a subset
 //! cargo run --release -p bionic-bench --bin figures --jobs 8    # 8 workers
-//! cargo run --release -p bionic-bench --bin figures --shards 4  # split cells
 //! cargo run --release -p bionic-bench --bin figures --list      # list ids
 //! cargo run --release -p bionic-bench --bin figures --trace out # traced runs
 //! cargo run --release -p bionic-bench --bin figures --smoke e14 # CI-sized run
@@ -15,13 +14,10 @@
 //! EXPERIMENTS.md maps each id to the paper artifact it reproduces.
 //!
 //! Experiments are decomposed into independent cells and run on a
-//! work-queue of `--jobs` worker threads (default: all cores); `--shards`
-//! additionally splits shardable cells into that many intra-cell work
-//! units (per-model, per-point, or per-config sub-runs merged back
-//! deterministically). Output is assembled serially in fixed order, so
-//! every CSV and printed table is byte-identical regardless of `--jobs`
-//! and `--shards`; only wall-clock time changes. Per-experiment timing is
-//! written to `results/harness_timing.csv`.
+//! work-queue of `--jobs` worker threads (default: all cores). Output is
+//! produced serially in fixed order, so every CSV and printed table is
+//! byte-identical regardless of `--jobs`; only wall-clock time changes.
+//! Per-experiment timing is written to `results/harness_timing.csv`.
 
 use bionic_bench::experiments::{self, Scale};
 use bionic_bench::harness;
@@ -30,7 +26,7 @@ use std::process::exit;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: figures [--jobs N] [--shards N] [--list] [--smoke] [--report] [--out DIR] \
+        "usage: figures [--jobs N] [--list] [--smoke] [--report] [--out DIR] \
          [--trace DIR] [ids...]   ids: {}",
         experiments::ids().collect::<Vec<_>>().join(" ")
     );
@@ -39,7 +35,6 @@ fn usage() -> ! {
 
 fn main() {
     let mut jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut shards = 1usize;
     let mut ids: Vec<String> = Vec::new();
     let mut trace_dir: Option<PathBuf> = None;
     let mut out_dir: Option<PathBuf> = None;
@@ -58,13 +53,6 @@ fn main() {
                 let n = args.next().unwrap_or_else(|| usage());
                 jobs = n.parse().unwrap_or_else(|_| usage());
                 if jobs == 0 {
-                    usage();
-                }
-            }
-            "--shards" => {
-                let n = args.next().unwrap_or_else(|| usage());
-                shards = n.parse().unwrap_or_else(|_| usage());
-                if shards == 0 {
                     usage();
                 }
             }
@@ -115,7 +103,7 @@ fn main() {
 
     let mut selected = Vec::new();
     for id in &ids {
-        match experiments::build(id, scale, shards) {
+        match experiments::build(id, scale) {
             Some(e) => selected.push(e),
             None => {
                 eprintln!("unknown experiment id: {id}");

@@ -3,34 +3,26 @@
 //! Every experiment is decomposed into independent **cells** — pure
 //! `FnOnce() -> CellOut` closures closed over nothing but their own
 //! configuration (each cell builds its own engine, generators, and seeds).
-//! A cell may additionally be split into **shards**: sub-closures covering
-//! disjoint slices of the cell's parameter/seed range whose outputs are
-//! recombined by a deterministic merge (by default, concatenation in shard
-//! order). A work-queue runner executes every shard on `jobs` worker
-//! threads; results are collected **by (experiment, cell, shard) index**
-//! and every table row, CSV byte, and printed line is produced by the
-//! experiment's `assemble` step on the main thread in fixed
-//! experiment/cell order. Consequently the contents of `results/*.csv`
-//! are byte-identical for every `jobs` **and** `--shards` value —
-//! parallelism only changes wall-clock time (reported separately in
-//! `harness_timing.csv`, the one file that legitimately differs run to
-//! run).
+//! The cell is the only unit of work: a work-queue runner executes every
+//! cell on `jobs` worker threads, results are collected **by (experiment,
+//! cell) index**, and every table row, CSV byte, and printed line is
+//! produced on the main thread in fixed experiment/cell order.
+//! Consequently the contents of `results/*.csv` are byte-identical for
+//! every `jobs` value — parallelism only changes wall-clock time (reported
+//! separately in `harness_timing.csv`, the one file that legitimately
+//! differs run to run).
 //!
-//! Work units are enqueued in descending [`Cell::cost`] order (stable on
-//! ties), so the long E8/E13 measurement cells start immediately instead
-//! of queueing behind dozens of cheap cells and serializing the makespan
-//! as a straggler tail. The schedule is deterministic and, because
-//! collection is by index, it cannot affect output bytes.
+//! Cells are enqueued in descending [`Cell::cost`] order (stable on ties),
+//! so the long E8/E13 measurement cells start immediately instead of
+//! queueing behind dozens of cheap cells and serializing the makespan as a
+//! straggler tail. The schedule is deterministic and, because collection
+//! is by index, it cannot affect output bytes.
 //!
-//! Determinism rules for cells and shards (see DESIGN.md):
+//! Determinism rules for cells (see DESIGN.md):
 //! 1. no printing and no file I/O inside a cell;
-//! 2. no shared mutable state — all RNG seeding is per-shard and fixed;
-//! 3. a sharded cell's decomposition must be exact: the shard outputs,
-//!    merged in shard order, must equal what one closure computing the
-//!    whole range would return (this is what keeps CSVs byte-identical
-//!    at any `--shards` value);
-//! 4. all cross-cell derivation (baselines, ratios, claims) happens in
-//!    `assemble` from the collected `values`.
+//! 2. no shared mutable state — all RNG seeding is per-cell and fixed;
+//! 3. all cross-cell derivation (baselines, ratios, claims) happens in the
+//!    experiment's `claims` step from the collected outputs.
 
 use crate::Table;
 use std::path::Path;
@@ -43,9 +35,9 @@ use std::time::Instant;
 #[derive(Debug, Default)]
 pub struct CellOut {
     /// Named tables (or fragments of a table shared across cells). The
-    /// assembler merges fragments with the same name in cell order.
+    /// harness merges fragments with the same name in cell order.
     pub tables: Vec<(String, Table)>,
-    /// Scalars consumed by the experiment's `assemble` step.
+    /// Scalars consumed by the experiment's `claims` step.
     pub values: Vec<f64>,
     /// Lines printed (in cell order) after the experiment's tables.
     pub notes: Vec<String>,
@@ -59,56 +51,28 @@ impl CellOut {
             ..Default::default()
         }
     }
+
+    /// A cell output carrying one note line.
+    pub(crate) fn note(note: impl Into<String>) -> Self {
+        CellOut {
+            notes: vec![note.into()],
+            ..Default::default()
+        }
+    }
 }
 
-/// A unit of parallel work.
-pub type CellFn = Box<dyn FnOnce() -> CellOut + Send>;
-
-/// Deterministic recombination of per-shard outputs into one cell output.
-pub type MergeFn = Box<dyn FnOnce(Vec<CellOut>) -> CellOut + Send>;
-
-/// One experiment cell: at least one shard closure, an optional custom
-/// shard merge (`None` ⇒ [`concat_outs`]), and a relative cost hint used
-/// only to order the work queue.
+/// One experiment cell: a closure and a relative cost hint used only to
+/// order the work queue.
 pub struct Cell {
-    shards: Vec<CellFn>,
-    merge: Option<MergeFn>,
+    work: Box<dyn FnOnce() -> CellOut + Send>,
     cost: u64,
 }
 
 impl Cell {
-    /// The common case: one closure, no sharding.
-    pub fn one(f: impl FnOnce() -> CellOut + Send + 'static) -> Self {
+    /// A cell running `f`, at the default cost of 1.
+    pub fn new(f: impl FnOnce() -> CellOut + Send + 'static) -> Self {
         Cell {
-            shards: vec![Box::new(f)],
-            merge: None,
-            cost: 1,
-        }
-    }
-
-    /// A cell split into shard closures recombined by [`concat_outs`] —
-    /// correct whenever each shard emits the rows/values/notes its slice
-    /// of the range would have produced, in range order.
-    pub fn sharded(shards: Vec<CellFn>) -> Self {
-        assert!(!shards.is_empty(), "a cell needs at least one shard");
-        Cell {
-            shards,
-            merge: None,
-            cost: 1,
-        }
-    }
-
-    /// A sharded cell with a custom deterministic merge (e.g. combining
-    /// per-shard rates into one row, or per-shard `Histogram`s into one
-    /// `Summary`).
-    pub fn sharded_merging(
-        shards: Vec<CellFn>,
-        merge: impl FnOnce(Vec<CellOut>) -> CellOut + Send + 'static,
-    ) -> Self {
-        assert!(!shards.is_empty(), "a cell needs at least one shard");
-        Cell {
-            shards,
-            merge: Some(Box::new(merge)),
+            work: Box::new(f),
             cost: 1,
         }
     }
@@ -121,42 +85,24 @@ impl Cell {
     }
 }
 
-/// Split `items` into at most `shards` contiguous, near-equal chunks,
-/// preserving order. `shards == 1` (or a single item) yields one chunk, so
-/// a sharded decomposition built on this degrades to the unsharded code
-/// path exactly.
-pub fn shard_items<T>(items: Vec<T>, shards: usize) -> Vec<Vec<T>> {
-    let n = items.len();
-    let k = shards.max(1).min(n.max(1));
-    let (base, extra) = (n / k, n % k);
-    let mut out: Vec<Vec<T>> = Vec::with_capacity(k);
-    let mut it = items.into_iter();
-    for i in 0..k {
-        let take = base + usize::from(i < extra);
-        out.push(it.by_ref().take(take).collect());
-    }
-    out.retain(|c| !c.is_empty());
-    if out.is_empty() {
-        out.push(Vec::new());
-    }
-    out
-}
+/// The serial cross-cell step of an experiment: receives every cell's
+/// output in cell-index order after their tables and notes have been
+/// printed, checks the sweep-wide asserts, and returns what only the whole
+/// sweep can say — claim lines as notes, cross-cell tables as tables.
+pub type ClaimsFn = Box<dyn FnOnce(&[CellOut]) -> CellOut>;
 
-/// Final, serial step of an experiment: receives every cell's output in
-/// cell-index order and performs all printing and CSV writing.
-pub type AssembleFn = Box<dyn FnOnce(Vec<CellOut>, &Path) + Send>;
-
-/// One experiment: an id, a banner line, parallel cells, and the serial
-/// assembly step.
+/// One experiment: an id, a banner line, parallel cells, and the optional
+/// cross-cell step. The harness does everything else: merge the cells'
+/// table fragments, save and print each table, print the notes.
 pub struct Experiment {
-    /// Short id (`f1` … `e14`).
+    /// Short id (`f1` … `e16`).
     pub id: &'static str,
     /// Banner printed before the experiment's output.
     pub title: &'static str,
     /// Independent units of work.
     pub cells: Vec<Cell>,
-    /// Deterministic merge + print + save step.
-    pub assemble: AssembleFn,
+    /// Claims, asserts and tables derived from all cells together.
+    pub claims: Option<ClaimsFn>,
 }
 
 /// Merge cell outputs into whole tables, in first-seen (cell, table)
@@ -177,43 +123,14 @@ pub fn merge_tables(outs: &[CellOut]) -> Vec<(String, Table)> {
     merged
 }
 
-/// The default shard merge: concatenate tables (fragment-wise, like
-/// [`merge_tables`]), values, and notes in shard order. With shards
-/// emitting their slice of the range in order, this reconstructs exactly
-/// the unsharded cell's output.
-pub fn concat_outs(shards: Vec<CellOut>) -> CellOut {
-    // Fold every fragment (including the first shard's) into a fresh
-    // accumulator so duplicate-named fragments *within* one shard are
-    // canonicalized the same way as fragments across shards — otherwise a
-    // later shard's rows could extend the first duplicate and jump ahead
-    // of the first shard's remaining fragments.
-    let mut acc = CellOut::default();
-    for s in shards {
-        for (name, frag) in s.tables {
-            match acc.tables.iter_mut().find(|(n, _)| *n == name) {
-                Some((_, t)) => {
-                    assert_eq!(t.headers, frag.headers, "shard headers differ: {name}");
-                    t.rows.extend(frag.rows);
-                }
-                None => acc.tables.push((name, frag)),
-            }
-        }
-        acc.values.extend(s.values);
-        acc.notes.extend(s.notes);
-    }
-    acc
-}
-
-/// The assembly step most experiments need: merge table fragments, save
-/// and print each table, then print every note in cell order.
-pub fn default_assemble(outs: Vec<CellOut>, results_dir: &Path) {
-    for (name, table) in merge_tables(&outs) {
+/// Merge table fragments, save and print each table, then print every
+/// note in cell order.
+fn save_and_print(outs: &[CellOut], results_dir: &Path) {
+    for (name, table) in merge_tables(outs) {
         table.save_and_print(results_dir, &name);
     }
-    for out in &outs {
-        for note in &out.notes {
-            println!("{note}");
-        }
+    for note in outs.iter().flat_map(|o| &o.notes) {
+        println!("{note}");
     }
 }
 
@@ -222,23 +139,12 @@ pub fn default_assemble(outs: Vec<CellOut>, results_dir: &Path) {
 pub struct ExperimentTiming {
     /// Experiment id.
     pub id: &'static str,
-    /// Number of scheduled work units (cell shards).
+    /// Number of cells run.
     pub cells: usize,
-    /// Sum of per-unit execution times (the serial cost).
+    /// Sum of per-cell execution times (the serial cost).
     pub serial_seconds: f64,
-    /// First-unit-start to last-unit-end (the parallel cost).
+    /// First-cell-start to last-cell-end (the parallel cost).
     pub makespan_seconds: f64,
-}
-
-impl ExperimentTiming {
-    /// Serial-over-makespan speedup for this experiment.
-    pub fn speedup(&self) -> f64 {
-        if self.makespan_seconds > 0.0 {
-            self.serial_seconds / self.makespan_seconds
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Wall-clock accounting for a whole run.
@@ -257,85 +163,81 @@ pub struct RunTiming {
 impl RunTiming {
     /// Render as the `harness_timing.csv` table.
     pub fn table(&self) -> Table {
-        let mut t = Table::new(&[
-            "experiment",
-            "cells",
-            "serial_seconds",
-            "makespan_seconds",
-            "speedup",
-        ]);
+        let row = |experiment: String, cells: usize, serial: f64, makespan: f64| {
+            [
+                ("experiment", experiment),
+                ("cells", cells.to_string()),
+                ("serial_seconds", format!("{serial:.3}")),
+                ("makespan_seconds", format!("{makespan:.3}")),
+                (
+                    "speedup",
+                    format!(
+                        "{:.2}",
+                        if makespan > 0.0 {
+                            serial / makespan
+                        } else {
+                            1.0
+                        }
+                    ),
+                ),
+            ]
+        };
+        let mut t = Table::default();
         for e in &self.per_experiment {
-            t.row(vec![
+            t.push(row(
                 e.id.to_string(),
-                e.cells.to_string(),
-                format!("{:.3}", e.serial_seconds),
-                format!("{:.3}", e.makespan_seconds),
-                format!("{:.2}", e.speedup()),
-            ]);
+                e.cells,
+                e.serial_seconds,
+                e.makespan_seconds,
+            ));
         }
-        let total_cells: usize = self.per_experiment.iter().map(|e| e.cells).sum();
-        t.row(vec![
+        t.push(row(
             format!("TOTAL(jobs={})", self.jobs),
-            total_cells.to_string(),
-            format!("{:.3}", self.serial_seconds),
-            format!("{:.3}", self.wall_seconds),
-            format!(
-                "{:.2}",
-                if self.wall_seconds > 0.0 {
-                    self.serial_seconds / self.wall_seconds
-                } else {
-                    1.0
-                }
-            ),
-        ]);
+            self.per_experiment.iter().map(|e| e.cells).sum(),
+            self.serial_seconds,
+            self.wall_seconds,
+        ));
         t
     }
 }
 
-/// Run `experiments` with `jobs` workers, then assemble each experiment in
-/// order. Returns the timing report; all experiment output (tables, CSVs,
-/// claims) is produced by the assembly steps.
+/// Run `experiments` with `jobs` workers, then print and save each
+/// experiment's output in order. Returns the timing report.
 pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> RunTiming {
     let jobs = jobs.max(1);
     let epoch = Instant::now();
 
+    struct Unit {
+        exp: usize,
+        index: usize,
+        cell: Cell,
+    }
     struct Done {
         exp: usize,
         cell: usize,
-        shard: usize,
         out: CellOut,
         started: f64,
         finished: f64,
     }
 
-    // Flatten cells into shard work units; remember each cell's shard
-    // count and merge so the outputs can be recombined afterwards.
-    let mut assembles = Vec::with_capacity(experiments.len());
-    let mut merges: Vec<Vec<Option<MergeFn>>> = Vec::new();
-    // (cost, experiment, cell, shard, work)
-    type Unit = (u64, usize, usize, usize, CellFn);
     let mut units: Vec<Unit> = Vec::new();
-    let mut outs: Vec<Vec<Vec<Option<CellOut>>>> = Vec::new();
-    for (ei, exp) in experiments.into_iter().enumerate() {
-        let mut cell_merges = Vec::with_capacity(exp.cells.len());
-        let mut cell_slots = Vec::with_capacity(exp.cells.len());
-        for (ci, cell) in exp.cells.into_iter().enumerate() {
-            cell_slots.push((0..cell.shards.len()).map(|_| None).collect::<Vec<_>>());
-            cell_merges.push(cell.merge);
-            for (si, work) in cell.shards.into_iter().enumerate() {
-                units.push((cell.cost, ei, ci, si, work));
-            }
-        }
-        merges.push(cell_merges);
-        outs.push(cell_slots);
-        assembles.push((exp.id, exp.title, exp.assemble));
+    let mut outs: Vec<Vec<Option<CellOut>>> = Vec::new();
+    let mut serial_steps = Vec::with_capacity(experiments.len());
+    for (exp, e) in experiments.into_iter().enumerate() {
+        outs.push(e.cells.iter().map(|_| None).collect());
+        units.extend(e.cells.into_iter().enumerate().map(|(index, cell)| Unit {
+            exp,
+            index,
+            cell,
+        }));
+        serial_steps.push((e.id, e.title, e.claims));
     }
 
     // Longest-expected-first schedule: stable sort keeps ties in
-    // (experiment, cell, shard) order, so the queue is deterministic.
-    units.sort_by_key(|u| std::cmp::Reverse(u.0));
+    // (experiment, cell) order, so the queue is deterministic.
+    units.sort_by_key(|u| std::cmp::Reverse(u.cell.cost));
 
-    let mut timing: Vec<ExperimentTiming> = assembles
+    let mut timing: Vec<ExperimentTiming> = serial_steps
         .iter()
         .map(|(id, _, _)| ExperimentTiming {
             id,
@@ -344,24 +246,23 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
             makespan_seconds: 0.0,
         })
         .collect();
-    let mut spans: Vec<(f64, f64)> = vec![(f64::MAX, 0.0); assembles.len()];
+    let mut spans: Vec<(f64, f64)> = vec![(f64::MAX, 0.0); serial_steps.len()];
 
-    let mut record = |d: Done, outs: &mut Vec<Vec<Vec<Option<CellOut>>>>| {
-        outs[d.exp][d.cell][d.shard] = Some(d.out);
+    let mut record = |d: Done| {
+        outs[d.exp][d.cell] = Some(d.out);
         timing[d.exp].cells += 1;
         timing[d.exp].serial_seconds += d.finished - d.started;
         spans[d.exp].0 = spans[d.exp].0.min(d.started);
         spans[d.exp].1 = spans[d.exp].1.max(d.finished);
     };
 
-    let run_unit = |(_, exp, cell, shard, work): Unit| {
+    let run_unit = |u: Unit| {
         let started = epoch.elapsed().as_secs_f64();
-        let out = work();
+        let out = (u.cell.work)();
         let finished = epoch.elapsed().as_secs_f64();
         Done {
-            exp,
-            cell,
-            shard,
+            exp: u.exp,
+            cell: u.index,
             out,
             started,
             finished,
@@ -369,10 +270,10 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
     };
 
     if jobs == 1 {
-        // Single worker: run every unit inline on this thread, in queue
+        // Single worker: run every cell inline on this thread, in queue
         // order. Same results by construction, no thread machinery.
         for unit in units {
-            record(run_unit(unit), &mut outs);
+            record(run_unit(unit));
         }
     } else {
         // The queue is complete before the first worker starts, so a locked
@@ -385,7 +286,7 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
                 let (queue, run_unit) = (&queue, &run_unit);
                 scope.spawn(move || loop {
                     // Its own statement, so the guard drops before the
-                    // unit runs. No holder can panic, hence no poisoning.
+                    // cell runs. No holder can panic, hence no poisoning.
                     let unit = queue.lock().expect("queue lock").next();
                     let Some(unit) = unit else { break };
                     let _ = done_tx.send(run_unit(unit));
@@ -395,7 +296,7 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
             // Ends when the last worker drops its sender; a worker that
             // panicked re-panics here when the scope joins it.
             for d in done_rx {
-                record(d, &mut outs);
+                record(d);
             }
         });
     }
@@ -407,26 +308,19 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
         }
     }
 
-    // Deterministic serial shard-merge + assembly, in experiment order.
-    for (((id, title, assemble), cell_outs), cell_merges) in
-        assembles.into_iter().zip(outs).zip(merges)
-    {
+    // Deterministic serial output, in experiment order: the cells' tables
+    // and notes first, so a failing sweep-wide assert panics with the
+    // table it judged already on screen.
+    for ((id, title, claims), cell_outs) in serial_steps.into_iter().zip(outs) {
         println!("{title}");
         let collected: Vec<CellOut> = cell_outs
             .into_iter()
-            .zip(cell_merges)
-            .map(|(shard_outs, merge)| {
-                let shards: Vec<CellOut> = shard_outs
-                    .into_iter()
-                    .map(|o| o.unwrap_or_else(|| panic!("missing shard output for {id}")))
-                    .collect();
-                match merge {
-                    Some(m) => m(shards),
-                    None => concat_outs(shards),
-                }
-            })
+            .map(|o| o.unwrap_or_else(|| panic!("missing cell output for {id}")))
             .collect();
-        assemble(collected, results_dir);
+        save_and_print(&collected, results_dir);
+        if let Some(claims) = claims {
+            save_and_print(&[claims(&collected)], results_dir);
+        }
     }
 
     let serial_seconds = timing.iter().map(|t| t.serial_seconds).sum();
@@ -441,18 +335,15 @@ pub fn run(experiments: Vec<Experiment>, jobs: usize, results_dir: &Path) -> Run
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bionic_sim::stats::Histogram;
-    use bionic_sim::time::SimTime;
 
     fn toy(idx: usize) -> Cell {
-        Cell::one(move || {
-            let mut t = Table::new(&["i", "sq"]);
-            t.row(vec![idx.to_string(), (idx * idx).to_string()]);
-            CellOut {
-                tables: vec![("toy".into(), t)],
-                values: vec![idx as f64],
-                notes: vec![],
-            }
+        Cell::new(move || CellOut {
+            tables: vec![(
+                "toy".into(),
+                Table::of([("i", idx.to_string()), ("sq", (idx * idx).to_string())]),
+            )],
+            values: vec![idx as f64],
+            notes: vec![],
         })
         .cost(idx as u64 % 3 + 1)
     }
@@ -462,11 +353,11 @@ mod tests {
             id: "toy",
             title: "### toy",
             cells: (0..16).map(toy).collect(),
-            assemble: Box::new(|outs, dir| {
+            claims: Some(Box::new(|outs| {
                 let sum: f64 = outs.iter().flat_map(|o| &o.values).sum();
                 assert_eq!(sum, 120.0);
-                default_assemble(outs, dir);
-            }),
+                CellOut::table("toy_sum", Table::of([("sum", sum.to_string())]))
+            })),
         }
     }
 
@@ -477,118 +368,33 @@ mod tests {
         for jobs in [1usize, 4] {
             let dir = base.join(format!("jobs{jobs}"));
             run(vec![toy_experiment()], jobs, &dir);
-            csvs.push(std::fs::read(dir.join("toy.csv")).expect("csv written"));
+            csvs.push((
+                std::fs::read(dir.join("toy.csv")).expect("csv written"),
+                std::fs::read(dir.join("toy_sum.csv")).expect("claims table written"),
+            ));
         }
         assert_eq!(csvs[0], csvs[1], "CSV bytes must not depend on --jobs");
+        assert!(
+            csvs[0].0.starts_with(b"i,sq\n0,0\n1,1\n2,4\n"),
+            "cell order"
+        );
         let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// A sharded experiment over a seed range: each shard simulates its
-    /// slice of seeds; the cell merge records each shard's samples into a
-    /// `Histogram`, folds the per-shard histograms together in shard order
-    /// via `Histogram::merge`, and reports the pooled `Summary`. The
-    /// resulting CSV must be byte-identical for any shards × jobs
-    /// combination — the core guarantee the figure suite's `--shards`
-    /// knob relies on.
-    fn seed_range_experiment(shards: usize) -> Experiment {
-        const SEEDS: u64 = 1000;
-        let chunks = shard_items((0..SEEDS).collect(), shards);
-        let shard_fns: Vec<CellFn> = chunks
-            .into_iter()
-            .map(|seeds| -> CellFn {
-                Box::new(move || CellOut {
-                    // Deterministic pseudo-latency per seed; exact as f64.
-                    values: seeds.iter().map(|s| (s * s % 7919 + 1) as f64).collect(),
-                    ..Default::default()
-                })
-            })
-            .collect();
-        Experiment {
-            id: "seeds",
-            title: "### seeds",
-            cells: vec![Cell::sharded_merging(shard_fns, |outs| {
-                let mut pooled = Histogram::new();
-                for o in &outs {
-                    let mut h = Histogram::new();
-                    for &ps in &o.values {
-                        h.record(SimTime::from_ps(ps as u64));
-                    }
-                    pooled.merge(&h);
-                }
-                let s = pooled.summary();
-                let mut t = Table::new(&["count", "mean_ps", "p50_ps", "p99_ps", "max_ps"]);
-                t.row(vec![
-                    s.count.to_string(),
-                    s.mean.as_ps().to_string(),
-                    s.p50.as_ps().to_string(),
-                    s.p99.as_ps().to_string(),
-                    s.max.as_ps().to_string(),
-                ]);
-                CellOut::table("seed_summary", t)
-            })],
-            assemble: Box::new(default_assemble),
-        }
-    }
-
-    #[test]
-    fn sharded_seed_range_is_byte_identical_for_any_shards_and_jobs() {
-        let base = std::env::temp_dir().join(format!("bionic_shard_test_{}", std::process::id()));
-        let mut csvs = Vec::new();
-        for (i, (shards, jobs)) in [(1usize, 1usize), (2, 4), (8, 4), (1000, 2), (5000, 1)]
-            .into_iter()
-            .enumerate()
-        {
-            let dir = base.join(format!("v{i}"));
-            run(vec![seed_range_experiment(shards)], jobs, &dir);
-            csvs.push(std::fs::read(dir.join("seed_summary.csv")).expect("csv written"));
-        }
-        for c in &csvs[1..] {
-            assert_eq!(&csvs[0], c, "CSV bytes must not depend on shards or jobs");
-        }
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    #[test]
-    fn concat_outs_reconstructs_the_unsharded_output() {
-        let row = |i: usize| {
-            let mut t = Table::new(&["i"]);
-            t.row(vec![i.to_string()]);
-            CellOut {
-                tables: vec![("x".into(), t)],
-                values: vec![i as f64],
-                notes: vec![format!("n{i}")],
-            }
-        };
-        let merged = concat_outs(vec![row(0), row(1), row(2)]);
-        assert_eq!(merged.tables.len(), 1);
-        assert_eq!(merged.tables[0].1.rows.len(), 3);
-        assert_eq!(merged.tables[0].1.rows[1][0], "1");
-        assert_eq!(merged.values, vec![0.0, 1.0, 2.0]);
-        assert_eq!(merged.notes, vec!["n0", "n1", "n2"]);
-    }
-
-    #[test]
-    fn shard_items_is_an_exact_ordered_partition() {
-        for n in [0usize, 1, 2, 7, 16, 100] {
-            for shards in [1usize, 2, 3, 8, 200] {
-                let chunks = shard_items((0..n).collect::<Vec<_>>(), shards);
-                let flat: Vec<usize> = chunks.iter().flatten().copied().collect();
-                assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} shards={shards}");
-                assert!(chunks.len() <= shards.max(1));
-                if n > 0 {
-                    let max = chunks.iter().map(Vec::len).max().unwrap();
-                    let min = chunks.iter().map(Vec::len).min().unwrap();
-                    assert!(max - min <= 1, "near-equal chunks: n={n} shards={shards}");
-                }
-            }
-        }
     }
 
     #[test]
     fn merge_rejects_mismatched_fragments() {
-        let a = CellOut::table("x", Table::new(&["h1"]));
-        let b = CellOut::table("x", Table::new(&["h2"]));
+        let a = CellOut::table("x", Table::of([("h1", String::new())]));
+        let b = CellOut::table("x", Table::of([("h2", String::new())]));
         let r = std::panic::catch_unwind(|| merge_tables(&[a, b]));
         assert!(r.is_err());
+    }
+
+    /// A row names its own columns, so a row built in another order (or
+    /// with another width) than the table's is caught where it is pushed.
+    #[test]
+    #[should_panic(expected = "row columns differ")]
+    fn a_row_whose_columns_differ_from_the_tables_panics() {
+        Table::of([("a", "1".to_string()), ("b", "2".to_string())])
+            .push([("b", "2".to_string()), ("a", "1".to_string())]);
     }
 }

@@ -12,7 +12,14 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// A simple in-memory table that renders to CSV and aligned text.
-#[derive(Debug, Clone)]
+///
+/// A row is a list of `(column, value)` pairs, so no table's column names
+/// are written apart from its values: the first row fixes the columns and
+/// every later row must name the same ones in the same order. (A table no
+/// row was pushed to has no columns either; a fragment that may come out
+/// row-less takes its headers from wherever its rows come from, as the
+/// attribution fragments of E13/E14 do.)
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     /// Column headers.
     pub headers: Vec<String>,
@@ -21,17 +28,27 @@ pub struct Table {
 }
 
 impl Table {
-    /// Create a table with the given headers.
-    pub fn new(headers: &[&str]) -> Self {
-        Table {
-            headers: headers.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+    /// A table holding one row.
+    pub fn of<C: AsRef<str>>(row: impl IntoIterator<Item = (C, String)>) -> Self {
+        let mut t = Table::default();
+        t.push(row);
+        t
     }
 
-    /// Append a row (stringified cells).
-    pub fn row(&mut self, cells: Vec<String>) -> &mut Self {
-        assert_eq!(cells.len(), self.headers.len(), "ragged table row");
+    /// Append a row of `(column, value)` pairs.
+    pub fn push<C: AsRef<str>>(&mut self, row: impl IntoIterator<Item = (C, String)>) -> &mut Self {
+        let (columns, cells): (Vec<C>, Vec<String>) = row.into_iter().unzip();
+        let columns = columns.iter().map(AsRef::as_ref);
+        if self.headers.is_empty() {
+            self.headers = columns.map(str::to_string).collect();
+        } else {
+            assert!(
+                columns.clone().eq(self.headers.iter().map(String::as_str)),
+                "row columns differ from the table's: {:?} vs {:?}",
+                columns.collect::<Vec<_>>(),
+                self.headers
+            );
+        }
         self.rows.push(cells);
         self
     }
@@ -118,18 +135,11 @@ mod tests {
 
     #[test]
     fn csv_escapes_and_aligns() {
-        let mut t = Table::new(&["a", "b"]);
-        t.row(vec!["1,2".into(), "x".into()]);
+        let t = Table::of([("a", "1,2".to_string()), ("b", "x".to_string())]);
         let csv = t.to_csv();
         assert!(csv.contains("\"1,2\""));
         let text = t.to_text();
         assert!(text.contains('a') && text.contains('x'));
-    }
-
-    #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_rejected() {
-        Table::new(&["a"]).row(vec!["1".into(), "2".into()]);
     }
 
     #[test]

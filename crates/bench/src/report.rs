@@ -216,7 +216,7 @@ fn run_detector(det: &Detector, keys: &[String], ys: &[f64], table: &str) -> Det
 }
 
 fn build_experiment(src: &Source, text: &str) -> Result<ExperimentReport, String> {
-    let (headers, mut rows) = parse_csv(text);
+    let (headers, mut rows) = parse_csv(text).map_err(|e| format!("{}.csv: {e}", src.table))?;
     if let Some((col, value)) = src.filter {
         let idx = column_index(&headers, col, src.table)?;
         rows.retain(|r| r[idx] == value);
@@ -344,6 +344,37 @@ mod tests {
         // Round-trips through the JSON schema.
         let back = RunReport::from_json(&rep.to_json()).unwrap();
         assert_eq!(back, rep);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What `Table::to_csv` quotes, the report reads back as one cell; a
+    /// quote it cannot parse is an error naming the table, not a row whose
+    /// columns silently shifted.
+    #[test]
+    fn quoted_cells_round_trip_and_malformed_ones_name_the_table() {
+        let dir = std::env::temp_dir().join(format!("report_quoted_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut t = crate::Table::default();
+        for (pct, p99, note) in [("0", "10", "calm, \"idle\""), ("100", "40", "busy")] {
+            t.push([
+                ("scan_pressure_pct", pct.to_string()),
+                ("note", note.to_string()),
+                ("txn_p99_us", p99.to_string()),
+                ("system_joules_per_txn", "1".to_string()),
+            ]);
+        }
+        write(&dir, "e13_hybrid.csv", &t.to_csv());
+        let e13 = &build_report(&dir, "smoke").unwrap().experiments[0];
+        assert_eq!(e13.rows[0], vec!["0", "0", "calm, \"idle\"", "10", "1"]);
+        assert!(e13.detectors[0].found, "p99 read from its own column");
+
+        write(
+            &dir,
+            "e13_hybrid.csv",
+            "scan_pressure_pct,txn_p99_us,system_joules_per_txn\n0,\"10,1\n",
+        );
+        let err = build_report(&dir, "smoke").unwrap_err();
+        assert!(err.starts_with("e13_hybrid.csv: "), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -5,7 +5,7 @@
 //! question — what does a *cluster* of bionic boxes look like — and
 //! answers it the same way the rest of the repo answers everything: as a
 //! deterministic simulation whose artifacts are byte-identical for any
-//! seed, job count, or shard split.
+//! seed or job count.
 //!
 //! Three layers:
 //!

@@ -6,7 +6,7 @@
 //! the link's endpoints — so a link's behavior depends only on the seed
 //! and the sequence of messages *it* carried, never on what other links
 //! did or on host scheduling. That is what makes cluster runs
-//! byte-identical at any `--jobs`/`--shards` setting.
+//! byte-identical at any `--jobs` setting.
 //!
 //! Faults are rates in basis points with the same zero-draw contract the
 //! chaos and hardware fault layers follow: **a knob at zero consumes no
@@ -248,7 +248,7 @@ mod tests {
     #[test]
     fn links_are_independent_substreams() {
         // Interleaving traffic on another link must not change what link
-        // (0,1) does — the property that keeps sharded runs byte-stable.
+        // (0,1) does — the property that keeps parallel runs byte-stable.
         let cfg = NetConfig::healthy(42).with_rates(2_000, 1_000, 1_000, 500);
         let solo: Vec<Delivery> = {
             let mut net = Network::new(cfg.clone());

@@ -2,7 +2,7 @@
 //!
 //! The network model is only useful if (a) its behavior is a pure
 //! function of the seed and each link's own traffic — so cluster runs are
-//! byte-identical at any `--jobs`/`--shards` split — and (b) its fault
+//! byte-identical at any `--jobs` value — and (b) its fault
 //! knobs do exactly what they say: zero-rate knobs draw nothing, armed
 //! knobs fire within statistical reach of their basis-point rates, and a
 //! partition window really black-holes everything it covers.
@@ -26,8 +26,8 @@ fn drive_link(net: &mut Network, from: u32, to: u32, msgs: u32) -> Vec<Delivery>
 proptest! {
     // A link's delivery schedule depends only on the seed and its own
     // message count — never on what other links carried, in what order,
-    // or whether they exist at all. This is the jobs/shards-determinism
-    // property: shard assignment changes which links are busy, not what
+    // or whether they exist at all. This is the jobs-determinism
+    // property: scheduling changes which links are busy when, not what
     // any given link does.
     #[test]
     fn link_schedule_is_independent_of_other_links(

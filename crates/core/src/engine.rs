@@ -422,7 +422,7 @@ impl Engine {
     /// Turn on commit-time attribution: per transaction class × offload
     /// path latency/energy histograms with a critical-path decomposition
     /// (probe / arbiter-wait / watchdog-retry / fallback / commit). All
-    /// recorded quantities are integers (picoseconds, picojoules) so shard
+    /// recorded quantities are integers (picoseconds, picojoules) so ledger
     /// merges are exact. Stays enabled across [`Engine::finish_load`]
     /// (which clears recorded data).
     pub fn enable_attribution(&mut self) {

@@ -1583,7 +1583,7 @@ impl Engine {
         self.path_acc.reset();
         // Per-txn energy delta for attribution: mark the ledger total now,
         // subtract at commit. Converted once to integer picojoules at
-        // record time so shard merges stay exact.
+        // record time so ledger merges stay exact.
         let energy_mark = if self.attrib.is_some() {
             self.platform.energy.total().as_j()
         } else {

@@ -15,12 +15,12 @@
 //! * [`Attribution`] — per `(class, path)` cells of latency and energy
 //!   [`LogHistogram`]s plus critical-path segment sums. Recording is
 //!   allocation-free after a class's first occurrence (classes are
-//!   `&'static str` program names, a handful per workload); cells merge
-//!   exactly under sharding.
+//!   `&'static str` program names, a handful per workload); ledgers
+//!   merge exactly.
 //!
 //! Energy is attributed in integer **picojoules**: the per-transaction
-//! `f64` joule delta is converted once at record time, so shard merges
-//! add integers and stay byte-identical at any `--jobs`×`--shards`.
+//! `f64` joule delta is converted once at record time, so merges add
+//! integers and exports stay byte-identical at any `--jobs`.
 
 use crate::histogram::LogHistogram;
 
@@ -249,7 +249,7 @@ impl Attribution {
         }
     }
 
-    /// Merge another ledger into this one (the harness shard fold).
+    /// Merge another ledger into this one.
     /// Exact: histograms add bucket-wise, segments add as integers, so
     /// merge order and grouping never change the result.
     pub fn merge(&mut self, other: &Attribution) {
@@ -276,7 +276,7 @@ impl Attribution {
 
     /// Occupied `(class, path, cell)` triples sorted by class label then
     /// path — the deterministic export walk, independent of the order
-    /// classes were first seen (which can differ per shard).
+    /// classes were first seen (which can differ between merged ledgers).
     pub fn cells(&self) -> Vec<(&'static str, OffloadPath, &PathCell)> {
         let mut out: Vec<(&'static str, OffloadPath, &PathCell)> = Vec::new();
         for c in &self.classes {
@@ -379,7 +379,7 @@ mod tests {
                 right.record("a", 100 + i, i, &t);
             }
         }
-        // Seed the shards with different first-seen class orders.
+        // Seed the ledgers with different first-seen class orders.
         left.record("b", 7, 1, &TxnPathAcc::default());
         whole.record("b", 7, 1, &TxnPathAcc::default());
         let mut ab = Attribution::new();

@@ -1,244 +1,10 @@
-//! Fixed-bucket log₂ histograms over raw `u64` quantities.
+//! The fixed-bucket log₂ histogram over raw `u64` quantities.
 //!
-//! [`LogHistogram`] is the unit-agnostic sibling of
-//! `bionic_sim::stats::Histogram`: the same HdrHistogram bucket layout
-//! (64 linear sub-buckets per power of two, ≤1.6 % relative error), but
-//! recording plain `u64` values so one type serves picosecond latencies
-//! *and* picojoule energy deltas. Everything about it is chosen for the
-//! sharded harness:
-//!
-//! * **Pre-sized storage** — `new()` allocates every bucket up front, so
-//!   `record` never allocates (the PR 7 zero-alloc hot loop stays intact
-//!   with attribution enabled).
-//! * **Integer state only** — counts, a `u128` sum, and `u64` extremes.
-//!   No float accumulates, so merging shards in any grouping or order
-//!   reproduces the unsharded histogram *exactly*, bucket for bucket.
-//! * **Deterministic export** — [`LogHistogram::nonzero_buckets`] walks
-//!   buckets in index order, giving byte-stable CSV/JSON rows.
-//!
-//! The merge algebra (split-anywhere = unsharded, associative,
-//! commutative, empty identity) is pinned by
-//! `crates/telemetry/tests/prop_loghistogram_merge.rs`.
+//! [`LogHistogram`] is `bionic_sim::stats::LogHistogram`, re-exported: the
+//! one bucket implementation in the workspace, whose `SimTime` view is
+//! `bionic_sim::stats::Histogram`. Recording plain `u64` values lets one
+//! type serve picosecond latencies *and* picojoule energy deltas in
+//! [`crate::attrib`], and its integer-only state is what makes
+//! [`crate::Attribution::merge`] exact.
 
-const SUBBUCKET_BITS: u32 = 6; // 64 linear sub-buckets per power of two
-const SUBBUCKETS: u64 = 1 << SUBBUCKET_BITS;
-const BUCKETS: usize = (64 - SUBBUCKET_BITS as usize) * SUBBUCKETS as usize;
-
-/// A log₂-bucketed histogram of `u64` values with linear sub-bucket
-/// resolution. See the module docs for the design constraints.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogHistogram {
-    counts: Vec<u64>,
-    total: u64,
-    sum: u128,
-    max: u64,
-    min: u64,
-}
-
-impl LogHistogram {
-    /// A fresh, empty histogram with every bucket pre-allocated.
-    pub fn new() -> Self {
-        LogHistogram {
-            counts: vec![0; BUCKETS],
-            total: 0,
-            sum: 0,
-            max: 0,
-            min: u64::MAX,
-        }
-    }
-
-    #[inline]
-    fn index(value: u64) -> usize {
-        let v = value.max(1);
-        let msb = 63 - v.leading_zeros();
-        if msb < SUBBUCKET_BITS {
-            v as usize
-        } else {
-            let shift = msb - SUBBUCKET_BITS;
-            let sub = (v >> shift) & (SUBBUCKETS - 1);
-            ((((msb - SUBBUCKET_BITS + 1) as u64 * SUBBUCKETS) + sub) as usize).min(BUCKETS - 1)
-        }
-    }
-
-    /// Lower bound of bucket `index` (the value quantiles report).
-    #[inline]
-    pub fn bucket_floor(index: usize) -> u64 {
-        let i = index as u64;
-        if i < SUBBUCKETS {
-            i
-        } else {
-            let exp = (i / SUBBUCKETS) as u32 + SUBBUCKET_BITS - 1;
-            let sub = i % SUBBUCKETS;
-            (1u64 << exp) + (sub << (exp - SUBBUCKET_BITS))
-        }
-    }
-
-    /// Record one value. Never allocates.
-    #[inline]
-    pub fn record(&mut self, v: u64) {
-        self.counts[Self::index(v)] += 1;
-        self.total += 1;
-        self.sum += v as u128;
-        self.max = self.max.max(v);
-        self.min = self.min.min(v);
-    }
-
-    /// Number of recorded samples.
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Exact sum of all recorded values.
-    pub fn sum(&self) -> u128 {
-        self.sum
-    }
-
-    /// Arithmetic mean (integer division; zero when empty).
-    pub fn mean(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            (self.sum / self.total as u128) as u64
-        }
-    }
-
-    /// Largest recorded value (zero when empty).
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Smallest recorded value. Empty histograms — including merges of
-    /// empty histograms, where the internal minimum is still the
-    /// `u64::MAX` sentinel — report zero.
-    pub fn min(&self) -> u64 {
-        if self.total == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Value at quantile `q` in `[0, 1]`: the lower bound of the
-    /// containing bucket, clamped into `[min, max]` (≤1.6 % error).
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.total == 0 {
-            return 0;
-        }
-        let rank = ((q.clamp(0.0, 1.0) * self.total as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return Self::bucket_floor(i).max(self.min).min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merge another histogram into this one: element-wise bucket add
-    /// plus sum/extreme folds. Exact — no information beyond the shared
-    /// bucketing is lost, so merge order and grouping never matter.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
-
-    /// Occupied buckets as `(bucket_floor, count)` in ascending bucket
-    /// order — the deterministic export walk.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_floor(i), c))
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_histogram_reports_zeros() {
-        let h = LogHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile(0.99), 0);
-        let mut merged = LogHistogram::new();
-        merged.merge(&h);
-        assert_eq!(merged.min(), 0, "min sentinel must not leak through merge");
-    }
-
-    #[test]
-    fn bucket_error_is_bounded() {
-        for v in [1u64, 63, 64, 65, 1000, 123_456, 9_876_543_210] {
-            let floor = LogHistogram::bucket_floor(LogHistogram::index(v));
-            assert!(floor <= v, "floor {floor} > value {v}");
-            assert!(
-                (v - floor) as f64 / v as f64 <= 1.0 / 32.0,
-                "v={v} floor={floor}"
-            );
-        }
-    }
-
-    #[test]
-    fn quantiles_on_uniform_ramp() {
-        let mut h = LogHistogram::new();
-        for i in 1..=1000u64 {
-            h.record(i * 1000);
-        }
-        let p50 = h.quantile(0.5) as f64;
-        let p99 = h.quantile(0.99) as f64;
-        assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.05, "p50={p50}");
-        assert!((p99 - 990_000.0).abs() / 990_000.0 < 0.05, "p99={p99}");
-    }
-
-    #[test]
-    fn merge_combines_counts_sums_and_extremes() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        a.record(10);
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.sum(), 1010);
-        assert_eq!(a.min(), 10);
-        assert_eq!(a.max(), 1000);
-    }
-
-    #[test]
-    fn nonzero_buckets_walk_in_ascending_order() {
-        let mut h = LogHistogram::new();
-        for v in [5u64, 5, 700, 123_456] {
-            h.record(v);
-        }
-        let rows: Vec<(u64, u64)> = h.nonzero_buckets().collect();
-        assert_eq!(rows.iter().map(|&(_, c)| c).sum::<u64>(), 4);
-        assert!(rows.windows(2).all(|w| w[0].0 < w[1].0));
-        assert_eq!(rows[0], (5, 2));
-    }
-
-    #[test]
-    fn record_path_does_not_allocate_after_new() {
-        // The counts vec is fully sized at construction; recording the
-        // largest representable value must stay in bounds.
-        let mut h = LogHistogram::new();
-        h.record(u64::MAX);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.max(), u64::MAX);
-    }
-}
+pub use bionic_sim::stats::LogHistogram;

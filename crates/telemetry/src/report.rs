@@ -5,7 +5,7 @@
 //! wrote) into a single machine-readable artifact: per-experiment columns
 //! and rows carried verbatim from the CSVs, plus automatic detector
 //! verdicts (the E13 contention knee, the E14 mid-band valley). Because
-//! cells are byte-identical across `--jobs`×`--shards`, so is the report.
+//! cells are byte-identical across `--jobs`, so is the report.
 //!
 //! The crate has no serde (vendored-deps-only build), so JSON is
 //! hand-rolled both ways: [`JsonValue`] is written with a fixed key
@@ -773,19 +773,67 @@ pub fn diff_reports(base: &RunReport, new: &RunReport, tolerance: f64) -> Report
     diff
 }
 
-/// Split a CSV produced by the bench `Table` writer (no quoting, no
-/// embedded commas) into `(headers, rows)`.
-pub fn parse_csv(text: &str) -> (Vec<String>, Vec<Vec<String>>) {
+/// Split one CSV line into fields, undoing the bench `Table` writer's
+/// quoting: a field holding `,` or `"` is wrapped in quotes with every
+/// inner quote doubled.
+fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
+    let mut fields = Vec::new();
+    let mut rest = line;
+    loop {
+        let field;
+        if let Some(quoted) = rest.strip_prefix('"') {
+            let mut unquoted = String::new();
+            let mut tail = quoted;
+            loop {
+                let end = tail
+                    .find('"')
+                    .ok_or_else(|| format!("unterminated quoted field in {line:?}"))?;
+                unquoted.push_str(&tail[..end]);
+                tail = &tail[end + 1..];
+                match tail.strip_prefix('"') {
+                    Some(after) => {
+                        unquoted.push('"');
+                        tail = after;
+                    }
+                    None => break,
+                }
+            }
+            field = unquoted;
+            rest = tail;
+        } else {
+            let end = rest.find(',').unwrap_or(rest.len());
+            field = rest[..end].to_string();
+            rest = &rest[end..];
+        }
+        fields.push(field);
+        match rest.strip_prefix(',') {
+            Some(after) => rest = after,
+            None if rest.is_empty() => return Ok(fields),
+            None => return Err(format!("text after a closing quote in {line:?}")),
+        }
+    }
+}
+
+/// Split a CSV produced by the bench `Table` writer into `(headers,
+/// rows)`. Honours the writer's quoting; a malformed quote or a row whose
+/// width differs from the header's is an error, never a shifted column.
+pub fn parse_csv(text: &str) -> Result<(Vec<String>, Vec<Vec<String>>), String> {
     let mut lines = text.lines();
-    let headers = lines
-        .next()
-        .map(|h| h.split(',').map(str::to_string).collect())
-        .unwrap_or_default();
-    let rows = lines
-        .filter(|l| !l.is_empty())
-        .map(|l| l.split(',').map(str::to_string).collect())
-        .collect();
-    (headers, rows)
+    let headers = lines.next().map(split_csv_line).transpose()?;
+    let headers = headers.unwrap_or_default();
+    let mut rows = Vec::new();
+    for line in lines.filter(|l| !l.is_empty()) {
+        let row = split_csv_line(line)?;
+        if row.len() != headers.len() {
+            return Err(format!(
+                "row has {} fields, header has {}: {line:?}",
+                row.len(),
+                headers.len()
+            ));
+        }
+        rows.push(row);
+    }
+    Ok((headers, rows))
 }
 
 #[cfg(test)]
@@ -907,8 +955,23 @@ mod tests {
 
     #[test]
     fn csv_parse_splits_headers_and_rows() {
-        let (h, r) = parse_csv("a,b\n1,2\n3,4\n");
+        let (h, r) = parse_csv("a,b\n1,2\n3,4\n").unwrap();
         assert_eq!(h, vec!["a", "b"]);
         assert_eq!(r, vec![vec!["1", "2"], vec!["3", "4"]]);
+    }
+
+    #[test]
+    fn csv_parse_undoes_the_writers_quoting_or_fails() {
+        let (h, r) = parse_csv("a,\"b,c\"\n\"say \"\"hi\"\", ok\",2\n\"\",\n").unwrap();
+        assert_eq!(h, vec!["a", "b,c"]);
+        assert_eq!(r, vec![vec!["say \"hi\", ok", "2"], vec!["", ""]]);
+        for bad in [
+            "a,b\n\"open,2\n",
+            "a,b\n\"x\"y,2\n",
+            "a,b\n1,2,3\n",
+            "a,b\n1\n",
+        ] {
+            assert!(parse_csv(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 }

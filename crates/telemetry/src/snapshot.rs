@@ -14,7 +14,7 @@
 //! fixed grid, counter deltas are exact integers, rows iterate in the
 //! registry's `BTreeMap` order, and the CSV/JSON writers use the same
 //! integer `fmt_us` formatting as every other exporter — so snapshot
-//! artifacts are byte-identical at any `--jobs`×`--shards` setting.
+//! artifacts are byte-identical at any `--jobs` setting.
 //!
 //! Conservation: because each counter delta is `current − previous`, the
 //! per-window deltas telescope — summed over all windows they equal the

@@ -62,32 +62,30 @@ fn workload_seed_changes_everything() {
 }
 
 /// The parallel figure harness must not leak scheduling order into
-/// results: running an experiment subset over the full
-/// jobs ∈ {1, 4} × shards ∈ {1, 2, 8} matrix produces the same CSV bytes
-/// in every configuration. The subset covers every sharding shape: E5
-/// (model-range shards with a row-reassembling merge), E7 (part-range
-/// shards under the default concat merge), E10 (sweep-point shards), E12
-/// (config-range shards with a ratio-computing merge), plus E4, E13, and
-/// E14. E13 is an interesting member: its cells each carry a private
-/// contention arbiter, so any shared mutable state would show up here as
-/// a byte diff in `e13_hybrid.csv`. E14 is the other: each of its cells
-/// owns a seeded fault injector and per-unit circuit breakers, so a
-/// nondeterministic RNG draw or a wall-clock leak into breaker timing
-/// would diff `e14_brownout.csv`. E15 runs every cell twice — a static
-/// arm and one with the adaptive placement controller armed — so a
-/// controller decision that depended on anything but the sim-time
-/// window grid would diff `e15_adaptive.csv`. E16 drives whole clusters —
-/// per-node engines, the seeded interconnect's per-link fault substreams,
-/// and the 2PC driver — so any cross-link RNG coupling or driver-order
-/// leak would diff `e16_cluster.csv`. `harness_timing.csv` is the single file
-/// allowed to differ (it reports wall-clock, which is the point of the
-/// parallelism). The run report (`report.json` / `report.md`) is built
-/// from each configuration's CSVs and compared too, so the scoreboard a
-/// CI baseline diffs against inherits the same guarantee — including the
-/// knee/valley detector verdicts and the attribution/window tables they
-/// summarize.
+/// results: running an experiment subset at jobs ∈ {1, 4} produces the
+/// same CSV bytes in both configurations. The subset covers every cell
+/// shape: E4, E7 and E10 (one cell sweeping its own grid), E5 and E12
+/// (one row per cell), E11 (two tables from five cells of very unequal
+/// cost), plus E13–E16. E13 is an interesting member: its cells each
+/// carry a private contention arbiter, so any shared mutable state would
+/// show up here as a byte diff in `e13_hybrid.csv`. E14 is the other:
+/// each of its cells owns a seeded fault injector and per-unit circuit
+/// breakers, so a nondeterministic RNG draw or a wall-clock leak into
+/// breaker timing would diff `e14_brownout.csv`. E15 runs every cell
+/// twice — a static arm and one with the adaptive placement controller
+/// armed — so a controller decision that depended on anything but the
+/// sim-time window grid would diff `e15_adaptive.csv`. E16 drives whole
+/// clusters — per-node engines, the seeded interconnect's per-link fault
+/// substreams, and the 2PC driver — so any cross-link RNG coupling or
+/// driver-order leak would diff `e16_cluster.csv`. `harness_timing.csv`
+/// is the single file allowed to differ (it reports wall-clock, which is
+/// the point of the parallelism). The run report (`report.json` /
+/// `report.md`) is built from each configuration's CSVs and compared too,
+/// so the scoreboard a CI baseline diffs against inherits the same
+/// guarantee — including the knee/valley detector verdicts and the
+/// attribution/window tables they summarize.
 #[test]
-fn harness_results_are_independent_of_jobs_and_shards() {
+fn harness_results_are_independent_of_jobs() {
     use bionic_bench::experiments::{build, Scale};
     use bionic_bench::harness;
 
@@ -95,49 +93,49 @@ fn harness_results_are_independent_of_jobs_and_shards() {
     let mut per_config: Vec<std::collections::BTreeMap<String, Vec<u8>>> = Vec::new();
     let mut labels: Vec<String> = Vec::new();
     for jobs in [1usize, 4] {
-        for shards in [1usize, 2, 8] {
-            let dir = base.join(format!("jobs{jobs}_shards{shards}"));
-            let experiments = ["e4", "e5", "e7", "e10", "e12", "e13", "e14", "e15", "e16"]
-                .into_iter()
-                .map(|id| build(id, Scale::Smoke, shards).expect("known id"))
-                .collect();
-            let timing = harness::run(experiments, jobs, &dir);
-            timing.table().save_and_print(&dir, "harness_timing");
-            let report = bionic_bench::report::build_report(&dir, "smoke").expect("report builds");
-            bionic_bench::report::write_report(&dir, &report).expect("report writes");
-            let mut csvs = std::collections::BTreeMap::new();
-            for entry in std::fs::read_dir(&dir).expect("results dir") {
-                let path = entry.expect("dir entry").path();
-                let name = path.file_name().unwrap().to_string_lossy().into_owned();
-                if name == "harness_timing.csv" {
-                    continue;
-                }
-                csvs.insert(name, std::fs::read(&path).expect("read csv"));
+        let dir = base.join(format!("jobs{jobs}"));
+        let experiments = [
+            "e4", "e5", "e7", "e10", "e11", "e12", "e13", "e14", "e15", "e16",
+        ]
+        .into_iter()
+        .map(|id| build(id, Scale::Smoke).expect("known id"))
+        .collect();
+        let timing = harness::run(experiments, jobs, &dir);
+        timing.table().save_and_print(&dir, "harness_timing");
+        let report = bionic_bench::report::build_report(&dir, "smoke").expect("report builds");
+        bionic_bench::report::write_report(&dir, &report).expect("report writes");
+        let mut csvs = std::collections::BTreeMap::new();
+        for entry in std::fs::read_dir(&dir).expect("results dir") {
+            let path = entry.expect("dir entry").path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            if name == "harness_timing.csv" {
+                continue;
             }
-            assert!(!csvs.is_empty(), "harness produced no CSVs");
-            assert!(
-                csvs.contains_key("e13_hybrid.csv"),
-                "E13 must write e13_hybrid.csv"
-            );
-            assert!(
-                csvs.contains_key("e14_brownout.csv"),
-                "E14 must write e14_brownout.csv"
-            );
-            assert!(
-                csvs.contains_key("e15_adaptive.csv"),
-                "E15 must write e15_adaptive.csv"
-            );
-            assert!(
-                csvs.contains_key("e16_cluster.csv"),
-                "E16 must write e16_cluster.csv"
-            );
-            assert!(
-                csvs.contains_key("report.json"),
-                "the run report must land next to the CSVs"
-            );
-            per_config.push(csvs);
-            labels.push(format!("jobs={jobs} shards={shards}"));
+            csvs.insert(name, std::fs::read(&path).expect("read csv"));
         }
+        assert!(!csvs.is_empty(), "harness produced no CSVs");
+        assert!(
+            csvs.contains_key("e13_hybrid.csv"),
+            "E13 must write e13_hybrid.csv"
+        );
+        assert!(
+            csvs.contains_key("e14_brownout.csv"),
+            "E14 must write e14_brownout.csv"
+        );
+        assert!(
+            csvs.contains_key("e15_adaptive.csv"),
+            "E15 must write e15_adaptive.csv"
+        );
+        assert!(
+            csvs.contains_key("e16_cluster.csv"),
+            "E16 must write e16_cluster.csv"
+        );
+        assert!(
+            csvs.contains_key("report.json"),
+            "the run report must land next to the CSVs"
+        );
+        per_config.push(csvs);
+        labels.push(format!("jobs={jobs}"));
     }
     let a = &per_config[0];
     for (b, label) in per_config[1..].iter().zip(&labels[1..]) {
@@ -161,10 +159,6 @@ fn harness_results_are_independent_of_jobs_and_shards() {
 /// utilization, and metrics artifacts are byte-identical whether the
 /// traced cells ran serially or on 4 worker threads. Sim-time-only
 /// timestamps and fully specified export ordering make this hold.
-/// (`--shards` has no axis here by construction: a traced run is one
-/// serial simulation that bypasses the sharded cell harness, since
-/// splitting it would change the recorded span interleaving itself —
-/// so job count is the only knob that could leak into trace bytes.)
 #[test]
 fn trace_artifacts_are_independent_of_job_count() {
     use bionic_bench::trace::run_traced;
