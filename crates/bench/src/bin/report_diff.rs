@@ -13,7 +13,7 @@
 //! detector verdict flips fail outright. The rendered verdict block ends
 //! with `verdict: PASS` or `verdict: REGRESSION`.
 
-use bionic_telemetry::report::{diff_reports, RunReport};
+use bionic_bench::report::{diff_reports, RunReport};
 use std::process::exit;
 
 fn usage() -> ! {

@@ -1336,13 +1336,16 @@ fn hybrid_cell(
 /// row-less fragment still merges with the other cells'.
 fn attrib_table(prefix: &[(&'static str, String)], engine: &Engine) -> Table {
     let csv = engine.attribution().expect("attribution enabled").to_csv();
-    let (columns, rows) =
-        bionic_telemetry::report::parse_csv(&csv).expect("the ledger writes well-formed CSV");
-    let columns = prefix.iter().map(|(c, _)| c.to_string()).chain(columns);
+    let ledger = Table::parse_csv(&csv).expect("the ledger writes well-formed CSV");
+    let columns = prefix
+        .iter()
+        .map(|(c, _)| c.to_string())
+        .chain(ledger.headers);
     let coords = prefix.iter().map(|(_, value)| value.clone());
     Table {
         headers: columns.collect(),
-        rows: rows
+        rows: ledger
+            .rows
             .into_iter()
             .map(|row| coords.clone().chain(row).collect())
             .collect(),

@@ -1,5 +1,6 @@
 //! Shared reporting utilities for the benchmark harness: a minimal CSV
-//! writer and table printer used by the `figures` binary.
+//! writer, its reader, and a table printer used by the `figures` binary;
+//! the run report ([`report`]) reads those CSVs back.
 
 #![deny(missing_docs)]
 
@@ -82,6 +83,28 @@ impl Table {
         out
     }
 
+    /// Read back a CSV [`Table::to_csv`] wrote, undoing its quoting. A
+    /// malformed quote or a row whose width differs from the header's is
+    /// an error, never a shifted column.
+    pub(crate) fn parse_csv(text: &str) -> Result<Table, String> {
+        let mut lines = text.lines();
+        let headers = lines.next().map(split_csv_line).transpose()?;
+        let headers = headers.unwrap_or_default();
+        let mut rows = Vec::new();
+        for line in lines.filter(|l| !l.is_empty()) {
+            let row = split_csv_line(line)?;
+            if row.len() != headers.len() {
+                return Err(format!(
+                    "row has {} fields, header has {}: {line:?}",
+                    row.len(),
+                    headers.len()
+                ));
+            }
+            rows.push(row);
+        }
+        Ok(Table { headers, rows })
+    }
+
     /// Render as an aligned text table.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -113,6 +136,47 @@ impl Table {
         std::fs::write(&path, self.to_csv()).expect("write csv");
         println!("{}", self.to_text());
         println!("[saved {}]\n", path.display());
+    }
+}
+
+/// Split one CSV line into fields, undoing [`Table::to_csv`]'s quoting: a
+/// field holding `,` or `"` is wrapped in quotes with every inner quote
+/// doubled.
+fn split_csv_line(line: &str) -> Result<Vec<String>, String> {
+    let mut fields = Vec::new();
+    let mut rest = line;
+    loop {
+        let field;
+        if let Some(quoted) = rest.strip_prefix('"') {
+            let mut unquoted = String::new();
+            let mut tail = quoted;
+            loop {
+                let end = tail
+                    .find('"')
+                    .ok_or_else(|| format!("unterminated quoted field in {line:?}"))?;
+                unquoted.push_str(&tail[..end]);
+                tail = &tail[end + 1..];
+                match tail.strip_prefix('"') {
+                    Some(after) => {
+                        unquoted.push('"');
+                        tail = after;
+                    }
+                    None => break,
+                }
+            }
+            field = unquoted;
+            rest = tail;
+        } else {
+            let end = rest.find(',').unwrap_or(rest.len());
+            field = rest[..end].to_string();
+            rest = &rest[end..];
+        }
+        fields.push(field);
+        match rest.strip_prefix(',') {
+            Some(after) => rest = after,
+            None if rest.is_empty() => return Ok(fields),
+            None => return Err(format!("text after a closing quote in {line:?}")),
+        }
     }
 }
 
@@ -148,5 +212,29 @@ mod tests {
         assert_eq!(f(123.4), "123");
         assert_eq!(f(1.5), "1.500");
         assert!(f(1e9).contains('e'));
+    }
+
+    #[test]
+    fn csv_parse_splits_headers_and_rows() {
+        let t = Table::parse_csv("a,b\n1,2\n3,4\n").unwrap();
+        assert_eq!(t.headers, vec!["a", "b"]);
+        assert_eq!(t.rows, vec![vec!["1", "2"], vec!["3", "4"]]);
+    }
+
+    #[test]
+    fn csv_parse_undoes_the_writers_quoting_or_fails() {
+        let t = Table::parse_csv("a,\"b,c\"\n\"say \"\"hi\"\", ok\",2\n\"\",\n").unwrap();
+        assert_eq!(t.headers, vec!["a", "b,c"]);
+        assert_eq!(t.rows, vec![vec!["say \"hi\", ok", "2"], vec!["", ""]]);
+        let back = Table::parse_csv(&t.to_csv()).unwrap();
+        assert_eq!((back.headers, back.rows), (t.headers, t.rows));
+        for bad in [
+            "a,b\n\"open,2\n",
+            "a,b\n\"x\"y,2\n",
+            "a,b\n1,2,3\n",
+            "a,b\n1\n",
+        ] {
+            assert!(Table::parse_csv(bad).is_err(), "{bad:?} must not parse");
+        }
     }
 }

@@ -12,8 +12,9 @@ use bionic_sim::time::SimTime;
 
 /// Format picoseconds as a Chrome-trace `ts` value: microseconds with six
 /// fractional digits, computed purely with integer math. Public because
-/// every exporter in the crate (snapshots, reports, traces) must format
-/// timestamps identically for artifacts to stay byte-stable.
+/// every artifact with a timestamp (traces, utilization CSVs, the bench
+/// harness's `e13_windows` table) must format it identically to stay
+/// byte-stable.
 pub fn fmt_us(ps: u64) -> String {
     format!("{}.{:06}", ps / 1_000_000, ps % 1_000_000)
 }

@@ -8,9 +8,9 @@
 //! * [`Telemetry`] — a span/event recorder keyed on virtual
 //!   [`SimTime`](bionic_sim::time::SimTime), never wall clock. Spans carry
 //!   the transaction id, the Figure-3 category label, and the component
-//!   track they ran on. Storage is an append-only ring buffer behind the
-//!   [`TraceSink`] trait; stable sequence ids make traces byte-identical
-//!   for any `--jobs` value.
+//!   track they ran on. Storage is an append-only ring buffer
+//!   ([`RingSink`]); stable sequence ids make traces byte-identical for
+//!   any `--jobs` value.
 //! * [`MetricsRegistry`] — named counters and gauges with per-component
 //!   scoping (engine, wal, bufferpool, queue, each fpga unit, sg-dram,
 //!   link), iterated in `BTreeMap` order so every export is deterministic.
@@ -20,7 +20,7 @@
 //! * Exporters — Chrome trace-event JSON (loadable in Perfetto /
 //!   `chrome://tracing`, one track per unit/core, spans nested per
 //!   transaction) and flat CSVs; plus [`validate_chrome_trace`], the schema
-//!   check CI runs against every exported trace.
+//!   check every exported trace passes before `figures --trace` writes it.
 //! * [`SnapshotHub`] — windowed snapshots on a fixed sim-time grid:
 //!   per-window counter deltas and gauge levels, the feed the adaptive
 //!   placement controller (ROADMAP item 4) reads.
@@ -29,9 +29,11 @@
 //!   cpu), with a critical-path decomposition into probe, arbiter-wait,
 //!   watchdog-retry, fallback, commit, and other segments, built on
 //!   pre-sized mergeable [`LogHistogram`]s.
-//! * [`RunReport`] — a per-experiment scoreboard with knee/valley
-//!   detectors, hand-rolled JSON both ways, markdown rendering, and
-//!   [`diff_reports`], the regression gate `report-diff` runs in CI.
+//! * [`report`] — the JSON codec: [`report::JsonValue`], written with a
+//!   fixed key order and read back by [`report::parse_json`] in linear
+//!   time. It is the one JSON reader in the workspace: the trace
+//!   validator, the run report (`bionic_bench::report`) and `benchmark/`
+//!   all parse through it.
 //!
 //! ## Determinism rules
 //!
@@ -68,11 +70,7 @@ pub use attrib::{Attribution, OffloadPath, PathCell, TxnPathAcc};
 pub use cluster::{merge_node_metrics, merge_node_traces, merged_chrome_trace};
 pub use histogram::LogHistogram;
 pub use metrics::{MetricValue, MetricsRegistry};
-pub use report::{
-    detect_knee, detect_valley, diff_reports, DetectorResult, ExperimentReport, ReportDiff,
-    RunReport,
-};
 pub use snapshot::{SnapshotHub, SnapshotWindow, WindowValue};
 pub use timeline::Timelines;
-pub use tracer::{RingSink, SpanEvent, Telemetry, TraceSink, TrackId, TrackKind, UNIT_NAMES};
+pub use tracer::{RingSink, SpanEvent, Telemetry, TrackId, TrackKind, UNIT_NAMES};
 pub use validate::validate_chrome_trace;

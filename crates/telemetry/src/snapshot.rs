@@ -8,20 +8,20 @@
 //! boundary, handing it the freshly collected [`MetricsRegistry`]; the
 //! hub diffs every counter against the previous capture (gauges are
 //! levels and pass through), labels the delta with the window's index and
-//! bounds, and retains it for iteration and export.
+//! bounds, and retains it for iteration ([`SnapshotHub::windows`]). The
+//! hub writes no artifact of its own: the E13 `e13_windows` table is built
+//! from `windows()` by the harness.
 //!
 //! Determinism: window bounds are [`SimTime`] picoseconds on the caller's
-//! fixed grid, counter deltas are exact integers, rows iterate in the
-//! registry's `BTreeMap` order, and the CSV/JSON writers use the same
-//! integer `fmt_us` formatting as every other exporter — so snapshot
-//! artifacts are byte-identical at any `--jobs` setting.
+//! fixed grid, counter deltas are exact integers, and rows iterate in the
+//! registry's `BTreeMap` order — so anything built from the windows is
+//! byte-identical at any `--jobs` setting.
 //!
 //! Conservation: because each counter delta is `current − previous`, the
 //! per-window deltas telescope — summed over all windows they equal the
 //! final cumulative counter exactly. The proptest
 //! `prop_snapshot_conservation.rs` pins this.
 
-use crate::export::fmt_us;
 use crate::metrics::{Keyed, MetricValue, MetricsRegistry};
 use bionic_sim::time::SimTime;
 use std::sync::Arc;
@@ -35,17 +35,6 @@ pub enum WindowValue {
     Delta(i64),
     /// Gauge level at the window's end.
     Level(f64),
-}
-
-impl WindowValue {
-    /// Render for CSV: deltas as integers, levels with six fractional
-    /// digits (matching [`MetricValue::render`]).
-    pub fn render(&self) -> String {
-        match self {
-            WindowValue::Delta(v) => format!("{v}"),
-            WindowValue::Level(v) => format!("{v:.6}"),
-        }
-    }
 }
 
 /// One window's snapshot: its grid position and every metric's delta or
@@ -175,57 +164,6 @@ impl SnapshotHub {
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
     }
-
-    /// Render every window as a deterministic CSV:
-    /// `window,start_us,end_us,scope,name,kind,value`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("window,start_us,end_us,scope,name,kind,value\n");
-        for w in &self.windows {
-            for (scope, name, value) in w.rows() {
-                let kind = match value {
-                    WindowValue::Delta(_) => "delta",
-                    WindowValue::Level(_) => "level",
-                };
-                out.push_str(&format!(
-                    "{},{},{},{},{},{},{}\n",
-                    w.index,
-                    fmt_us(w.start.as_ps()),
-                    fmt_us(w.end.as_ps()),
-                    scope,
-                    name,
-                    kind,
-                    value.render()
-                ));
-            }
-        }
-        out
-    }
-
-    /// Render every window as a JSON array (hand-rolled, fixed key
-    /// order) for consumers that want structure over rows.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, w) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"window\":{},\"start_us\":\"{}\",\"end_us\":\"{}\",\"metrics\":{{",
-                w.index,
-                fmt_us(w.start.as_ps()),
-                fmt_us(w.end.as_ps())
-            ));
-            for (j, (scope, name, value)) in w.rows().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("\"{scope}/{name}\":{}", value.render()));
-            }
-            out.push_str("}}");
-        }
-        out.push(']');
-        out
-    }
 }
 
 #[cfg(test)]
@@ -294,34 +232,5 @@ mod tests {
                 (2, 20_000_000, 23_500_000),
             ]
         );
-    }
-
-    #[test]
-    fn csv_shape_is_stable() {
-        let mut hub = SnapshotHub::new(us(5.0));
-        let mut m = MetricsRegistry::new();
-        m.counter("wal", "flushes", 2);
-        m.gauge("energy", "total_j", 0.5);
-        hub.capture(us(5.0), &m);
-        let csv = hub.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "window,start_us,end_us,scope,name,kind,value");
-        assert_eq!(
-            lines[1],
-            "0,0.000000,5.000000,energy,total_j,level,0.500000"
-        );
-        assert_eq!(lines[2], "0,0.000000,5.000000,wal,flushes,delta,2");
-    }
-
-    #[test]
-    fn json_is_valid_shape() {
-        let mut hub = SnapshotHub::new(us(5.0));
-        let mut m = MetricsRegistry::new();
-        m.counter("wal", "flushes", 2);
-        hub.capture(us(5.0), &m);
-        let json = hub.to_json();
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"wal/flushes\":2"));
     }
 }

@@ -1,11 +1,12 @@
-//! The span recorder: tracks, sinks, and the [`Telemetry`] front end.
+//! The span recorder: tracks, the span ring, and the [`Telemetry`] front end.
 //!
 //! The recorder is built for one property above all: **the disabled path is
-//! free**. [`Telemetry::disabled`] carries a [`NoopSink`] and an `enabled`
-//! flag; every recording entry point is `#[inline]` and returns after one
-//! branch when disabled, allocating nothing. When enabled, events go into a
-//! bounded append-only ring ([`RingSink`]) with stable sequence ids, and
-//! busy intervals are mirrored into the [`Timelines`] accumulator.
+//! free**. [`Telemetry::disabled`] carries an empty [`RingSink`] (no
+//! allocation) and an `enabled` flag; every recording entry point is
+//! `#[inline]` and returns after one branch when disabled, so the ring is
+//! never written. When enabled, events go into that bounded append-only
+//! ring with stable sequence ids, and busy intervals are mirrored into the
+//! [`Timelines`] accumulator.
 
 use crate::metrics::MetricsRegistry;
 use crate::timeline::Timelines;
@@ -49,34 +50,6 @@ pub struct SpanEvent {
     pub txn: u64,
 }
 
-/// Destination for recorded spans. The engine holds a `Box<dyn TraceSink>`
-/// so the disabled case pays one virtual-call-free branch, not a dispatch.
-pub trait TraceSink {
-    /// Record one span.
-    fn record(&mut self, ev: SpanEvent);
-    /// All retained spans, oldest first.
-    fn events(&self) -> Vec<SpanEvent>;
-    /// Spans dropped because the ring was full.
-    fn dropped(&self) -> u64;
-    /// Forget everything recorded so far.
-    fn clear(&mut self);
-}
-
-/// The do-nothing sink behind a disabled recorder.
-#[derive(Debug, Default)]
-pub struct NoopSink;
-
-impl TraceSink for NoopSink {
-    fn record(&mut self, _ev: SpanEvent) {}
-    fn events(&self) -> Vec<SpanEvent> {
-        Vec::new()
-    }
-    fn dropped(&self) -> u64 {
-        0
-    }
-    fn clear(&mut self) {}
-}
-
 /// Bounded append-only ring buffer: once `capacity` spans are held, the
 /// oldest is overwritten and counted as dropped. Sequence ids keep climbing
 /// across wraps, so the retained window is always a contiguous, stable
@@ -90,7 +63,8 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A ring retaining up to `capacity` spans (at least 1).
+    /// A ring retaining up to `capacity` spans (at least 1). Allocates
+    /// nothing until the first span is recorded.
     pub fn new(capacity: usize) -> Self {
         RingSink {
             buf: Vec::new(),
@@ -99,10 +73,9 @@ impl RingSink {
             dropped: 0,
         }
     }
-}
 
-impl TraceSink for RingSink {
-    fn record(&mut self, ev: SpanEvent) {
+    /// Record one span, overwriting the oldest once full.
+    pub fn record(&mut self, ev: SpanEvent) {
         if self.buf.len() < self.capacity {
             self.buf.push(ev);
         } else {
@@ -112,18 +85,21 @@ impl TraceSink for RingSink {
         }
     }
 
-    fn events(&self) -> Vec<SpanEvent> {
+    /// All retained spans, oldest first.
+    pub fn events(&self) -> Vec<SpanEvent> {
         let mut out = Vec::with_capacity(self.buf.len());
         out.extend_from_slice(&self.buf[self.head..]);
         out.extend_from_slice(&self.buf[..self.head]);
         out
     }
 
-    fn dropped(&self) -> u64 {
+    /// Spans dropped because the ring was full.
+    pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    fn clear(&mut self) {
+    /// Forget everything recorded so far.
+    pub fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
         self.dropped = 0;
@@ -143,7 +119,7 @@ pub struct Track {
 /// metrics registry, behind one enabled flag.
 pub struct Telemetry {
     enabled: bool,
-    sink: Box<dyn TraceSink>,
+    sink: RingSink,
     tracks: Vec<Track>,
     timelines: Timelines,
     metrics: MetricsRegistry,
@@ -168,7 +144,7 @@ impl Telemetry {
     pub fn disabled() -> Self {
         Telemetry {
             enabled: false,
-            sink: Box::new(NoopSink),
+            sink: RingSink::new(0),
             tracks: Vec::new(),
             timelines: Timelines::new(),
             metrics: MetricsRegistry::new(),
@@ -183,7 +159,7 @@ impl Telemetry {
     /// [`UNIT_NAMES`] order). `capacity` bounds the span ring.
     pub fn enable(&mut self, cores: usize, capacity: usize) {
         self.enabled = true;
-        self.sink = Box::new(RingSink::new(capacity));
+        self.sink = RingSink::new(capacity);
         self.tracks.clear();
         self.tracks.push(Track {
             name: "dispatch".into(),

@@ -1,12 +1,13 @@
-//! Chrome trace-event schema validation — the check CI runs on every
-//! exported trace.
+//! Chrome trace-event schema validation — the check every exported trace
+//! passes before it is written.
 //!
-//! The crate has no JSON dependency (the workspace is offline), so this
-//! module carries a small recursive-descent JSON parser sufficient for the
-//! whole trace-event grammar, then checks the event stream:
+//! The document is read by the crate's one JSON reader,
+//! [`crate::report::parse_json`], then the event stream is checked:
 //!
 //! 1. the document is well-formed JSON: an object with a `traceEvents`
-//!    array (or a bare array, which the format also allows);
+//!    array (or a bare array, which the format also allows). Number
+//!    tokens must be strict JSON: `1.` or `01` is rejected, deliberately
+//!    stricter than `str::parse::<f64>`, which reads both;
 //! 2. every event is an object with a string `ph`, and every `B`/`E`/`X`
 //!    event carries numeric `ts`, `pid`, and `tid`;
 //! 3. per `(pid, tid)` track, `ts` is non-decreasing in file order and
@@ -15,250 +16,16 @@
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value (just enough for trace files).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{word}'")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9') | Some(b'.') | Some(b'e') | Some(b'E') | Some(b'+') | Some(b'-')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    // Consume one UTF-8 scalar. The input came from &str,
-                    // so boundaries are valid; decode just this scalar —
-                    // re-validating the whole remaining slice per char
-                    // would make parsing quadratic.
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc2..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos + len).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[self.pos..end])
-                        .map_err(|_| self.err("invalid utf-8 in string"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("truncated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn document(&mut self) -> Result<Json, String> {
-        let v = self.value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing garbage after document"));
-        }
-        Ok(v)
-    }
-}
+use crate::report::{parse_json, JsonValue};
 
 /// Validate `text` against the Chrome trace-event schema (see module docs
 /// for the exact checks). Returns `Ok(())` or the first violation found.
 pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
-    let doc = Parser::new(text).document()?;
+    let doc = parse_json(text)?;
     let events = match &doc {
-        Json::Arr(items) => items,
-        Json::Obj(_) => match doc.get("traceEvents") {
-            Some(Json::Arr(items)) => items,
+        JsonValue::Arr(items) => items,
+        JsonValue::Obj(_) => match doc.get("traceEvents") {
+            Some(JsonValue::Arr(items)) => items,
             Some(_) => return Err("traceEvents is not an array".to_string()),
             None => return Err("top-level object lacks traceEvents".to_string()),
         },
@@ -271,22 +38,22 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
-            .and_then(Json::as_str)
+            .and_then(JsonValue::as_str)
             .ok_or_else(|| format!("event {i}: missing string ph"))?;
         if !matches!(ph, "B" | "E" | "X") {
             continue; // metadata and counter events carry no timeline state
         }
         let ts = ev
             .get("ts")
-            .and_then(Json::as_num)
+            .and_then(JsonValue::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric ts"))?;
         let pid = ev
             .get("pid")
-            .and_then(Json::as_num)
+            .and_then(JsonValue::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric pid"))? as i64;
         let tid = ev
             .get("tid")
-            .and_then(Json::as_num)
+            .and_then(JsonValue::as_f64)
             .ok_or_else(|| format!("event {i}: missing numeric tid"))? as i64;
 
         let (last_ts, stack) = tracks
@@ -303,7 +70,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
             "B" => {
                 let name = ev
                     .get("name")
-                    .and_then(Json::as_str)
+                    .and_then(JsonValue::as_str)
                     .ok_or_else(|| format!("event {i}: B without a name"))?;
                 stack.push(name.to_string());
             }
@@ -311,7 +78,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
                 let opened = stack
                     .pop()
                     .ok_or_else(|| format!("event {i}: E with no open B on tid={tid}"))?;
-                if let Some(name) = ev.get("name").and_then(Json::as_str) {
+                if let Some(name) = ev.get("name").and_then(JsonValue::as_str) {
                     if name != opened {
                         return Err(format!(
                             "event {i}: E name {name:?} does not match open B {opened:?}"
@@ -322,7 +89,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<(), String> {
             "X" => {
                 let dur = ev
                     .get("dur")
-                    .and_then(Json::as_num)
+                    .and_then(JsonValue::as_f64)
                     .ok_or_else(|| format!("event {i}: X without numeric dur"))?;
                 if dur < 0.0 {
                     return Err(format!("event {i}: negative dur"));
@@ -405,6 +172,19 @@ mod tests {
             {"name":"a","ph":"E","ts":6.0,"pid":0,"tid":0}
         ]"#;
         validate_chrome_trace(t).unwrap();
+    }
+
+    /// `str::parse::<f64>` reads both tokens; the JSON grammar, and so
+    /// the validator, does not.
+    #[test]
+    fn rejects_number_tokens_json_does_not_allow() {
+        let event =
+            |ts: &str| format!(r#"[{{"name":"u","ph":"X","ts":{ts},"dur":1,"pid":0,"tid":0}}]"#);
+        validate_chrome_trace(&event("1.5e0")).unwrap();
+        for ts in ["1.", "01"] {
+            let err = validate_chrome_trace(&event(ts)).unwrap_err();
+            assert!(err.contains("bad number"), "{ts}: {err}");
+        }
     }
 
     #[test]
