@@ -49,6 +49,7 @@ use bionic_wal::manager::LogIter;
 use bionic_wal::record::LogBody;
 use bionic_wal::TxnId;
 
+use crate::gtxn::{BranchState, GtxnMap, SeenTable};
 use crate::net::{Delivery, NetConfig, NetStats, Network};
 
 /// Global transaction ids live in the top half of the id space so they
@@ -98,21 +99,6 @@ impl CoordStep {
     ];
 }
 
-/// Participant-side state of one global transaction, keyed by gtxn in the
-/// node's dedup table. Volatile — a crash wipes it, recovery rebuilds it
-/// from the WAL — and it is what makes message redelivery exactly-once:
-/// a duplicate or retried PREPARE re-votes from here instead of
-/// re-executing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BranchState {
-    /// Prepared (voted YES): local txn id + coordinator node.
-    Prepared(TxnId, u32),
-    /// Executed and voted NO; already rolled back locally.
-    Refused,
-    /// Decision applied (`true` = committed).
-    Finished(bool),
-}
-
 /// A participant's reply to PREPARE.
 enum PrepareReply {
     /// Voted YES; the branch is durably prepared (txn id in the dedup
@@ -140,11 +126,11 @@ pub struct Node {
     /// The node's private engine (own WAL, buffer pool, platform).
     pub engine: Engine,
     /// Per-gtxn participant dedup table (see [`BranchState`]).
-    seen: BTreeMap<u64, BranchState>,
+    seen: SeenTable,
     /// Coordinator decision cache: commit decisions mirror durable WAL
     /// records, abort decisions are volatile (presumed abort makes losing
     /// them harmless).
-    decisions: BTreeMap<u64, bool>,
+    decisions: GtxnMap<bool>,
     /// Crash-restart cycles this node went through.
     pub crashes: u64,
 }
@@ -153,8 +139,8 @@ impl Node {
     fn new(engine: Engine) -> Self {
         Node {
             engine,
-            seen: BTreeMap::new(),
-            decisions: BTreeMap::new(),
+            seen: SeenTable::default(),
+            decisions: GtxnMap::default(),
             crashes: 0,
         }
     }
@@ -167,7 +153,7 @@ impl Node {
         program: &TxnProgram,
         at: SimTime,
     ) -> (PrepareReply, SimTime) {
-        match self.seen.get(&gtxn).copied() {
+        match self.seen.get(gtxn) {
             Some(BranchState::Prepared(..)) => (PrepareReply::Yes, at + REVOTE_CPU),
             Some(BranchState::Refused) => (PrepareReply::No, at + REVOTE_CPU),
             Some(BranchState::Finished(_)) => (PrepareReply::Stale, at + REVOTE_CPU),
@@ -241,6 +227,8 @@ pub struct ClusterReport {
     pub commit_p50: SimTime,
     /// p99 end-to-end latency of committed cross-partition txns.
     pub commit_p99: SimTime,
+    /// Committed cross-partition txns strictly slower than `commit_p99`.
+    pub commit_beyond_p99: u64,
     /// Latest completion across all nodes.
     pub elapsed: SimTime,
     /// Total platform energy across nodes plus network energy, joules.
@@ -379,14 +367,7 @@ impl Cluster {
         // Safety net: anything still prepared resolves through the same
         // status-query path (its coordinator is recorded in the table).
         for n in 0..self.nodes.len() {
-            let stuck: Vec<(u64, u32)> = self.nodes[n]
-                .seen
-                .iter()
-                .filter_map(|(g, s)| match s {
-                    BranchState::Prepared(_, coord) => Some((*g, *coord)),
-                    _ => None,
-                })
-                .collect();
+            let stuck: Vec<(u64, u32)> = self.nodes[n].seen.prepared().collect();
             for (gtxn, coord) in stuck {
                 self.participant_resolve(n, gtxn, coord, now);
             }
@@ -413,6 +394,8 @@ impl Cluster {
             let idx = ((lat.len() as f64 - 1.0) * p).round() as usize;
             SimTime::from_ps(lat[idx])
         };
+        let commit_p99 = pct(0.99);
+        let within_p99 = lat.partition_point(|&ps| ps <= commit_p99.as_ps());
         ClusterReport {
             nodes: self.nodes.len(),
             global_committed: self.global_committed,
@@ -425,7 +408,8 @@ impl Cluster {
                 self.in_doubt_delays_ps.iter().copied().max().unwrap_or(0),
             ),
             commit_p50: pct(0.50),
-            commit_p99: pct(0.99),
+            commit_p99,
+            commit_beyond_p99: (lat.len() - within_p99) as u64,
             elapsed,
             joules,
             net: self.net.stats,
@@ -547,11 +531,7 @@ impl Cluster {
                     // Fuse blew mid-decision: whether the commit record
                     // survived is the crash image's call, not ours.
                     self.recover_node(coord, t);
-                    let committed = self.nodes[coord]
-                        .decisions
-                        .get(&gtxn)
-                        .copied()
-                        .unwrap_or(false);
+                    let committed = self.nodes[coord].decisions.get(gtxn).unwrap_or(false);
                     for rn in contacted {
                         self.unresolved.push((rn, gtxn, coord as u32));
                     }
@@ -569,11 +549,7 @@ impl Cluster {
             }
             // A durable commit decision survives the crash; anything less
             // is presumed abort.
-            let committed = self.nodes[coord]
-                .decisions
-                .get(&gtxn)
-                .copied()
-                .unwrap_or(false);
+            let committed = self.nodes[coord].decisions.get(gtxn).unwrap_or(false);
             return self.finish_global(committed, arrive, t);
         }
 
@@ -691,7 +667,7 @@ impl Cluster {
     /// Apply a decision to a branch if (and only if) it is still
     /// prepared. Safe against duplicates and stale deliveries.
     fn finish_branch(&mut self, n: usize, gtxn: u64, commit: bool, at: SimTime, late: bool) {
-        if let Some(BranchState::Prepared(txn, _)) = self.nodes[n].seen.get(&gtxn).copied() {
+        if let Some(BranchState::Prepared(txn, _)) = self.nodes[n].seen.get(gtxn) {
             match self.nodes[n].engine.resolve_prepared(txn, commit, at) {
                 TxnOutcome::Interrupted => {
                     // Fuse blew mid-resolution: recovery will finish the
@@ -718,10 +694,10 @@ impl Cluster {
         if self.unresolved.is_empty() {
             return;
         }
-        let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.unresolved)
-            .into_iter()
-            .partition(|u| u.0 == node);
-        self.unresolved = rest;
+        // Take every entry out before resolving any: a recovery mid-loop
+        // drops the node's remaining entries from `unresolved`, and these
+        // must still run their status queries.
+        let mine: Vec<_> = self.unresolved.extract_if(.., |u| u.0 == node).collect();
         for (n, gtxn, coord) in mine {
             self.participant_resolve(n, gtxn, coord, now);
         }
@@ -733,8 +709,7 @@ impl Cluster {
     fn participant_resolve(&mut self, n: usize, gtxn: u64, coord: u32, now: SimTime) {
         let commit = self.nodes[coord as usize]
             .decisions
-            .get(&gtxn)
-            .copied()
+            .get(gtxn)
             .unwrap_or(false);
         let mut t = now;
         let mut resolved_at = None;
@@ -766,19 +741,11 @@ impl Cluster {
     fn recover_node(&mut self, n: usize, now: SimTime) {
         self.recoveries += 1;
         self.nodes[n].crashes += 1;
-        // Decision view from the survivors (coordinators hold their own
-        // decisions; presumed abort covers everything else).
-        let mut view: BTreeMap<u64, bool> = BTreeMap::new();
-        for (i, peer) in self.nodes.iter().enumerate() {
-            if i != n {
-                view.extend(peer.decisions.iter().map(|(k, v)| (*k, *v)));
-            }
-        }
         let seed = self.cfg.engine.seed + n as u64;
         let placeholder = Engine::new(EngineConfig::software().with_agents(1));
         let image = std::mem::replace(&mut self.nodes[n].engine, placeholder).crash();
 
-        let mut own_decisions: BTreeMap<u64, bool> = BTreeMap::new();
+        let mut own_decisions: GtxnMap<bool> = GtxnMap::default();
         let mut prepares: Vec<(TxnId, u64)> = Vec::new();
         for rec in LogIter::over(image.log_bytes(), 0) {
             match rec.body {
@@ -789,15 +756,26 @@ impl Cluster {
                 _ => {}
             }
         }
-        view.extend(own_decisions.iter().map(|(k, v)| (*k, *v)));
 
+        // Decision state: the node's own durable decisions, then the
+        // survivors' (coordinators hold their own decisions), the highest
+        // node index first; presumed abort covers everything else.
         let cfg_n = self.cfg.engine.clone().with_seed(seed);
+        let nodes = &self.nodes;
         let (engine, rec) = Engine::restart_resolving(image, cfg_n, |_txn, gtxn, _coord| {
-            view.get(&gtxn).copied().unwrap_or(false)
+            own_decisions
+                .get(gtxn)
+                .or_else(|| {
+                    (0..nodes.len())
+                        .rev()
+                        .filter(|&i| i != n)
+                        .find_map(|i| nodes[i].decisions.get(gtxn))
+                })
+                .unwrap_or(false)
         });
         let recovered_at = now + RECOVERY_DOWNTIME;
         let winners: std::collections::BTreeSet<TxnId> = rec.winners.iter().copied().collect();
-        let mut seen = BTreeMap::new();
+        let mut seen = SeenTable::default();
         for (txn, gtxn) in prepares {
             seen.insert(gtxn, BranchState::Finished(winners.contains(&txn)));
         }
@@ -933,5 +911,65 @@ impl Cluster {
             &[bionic_telemetry::SpanEvent],
         )> = per_node.iter().map(|(t, e)| (&t[..], &e[..])).collect();
         bionic_telemetry::merged_chrome_trace(&refs)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bionic_workloads::WorkloadKind;
+
+    fn run(nodes: usize, net: NetConfig, cross_bp: u32, seed: u64, txns: usize) -> Cluster {
+        let engine = EngineConfig::software().with_agents(2);
+        let mut cluster = Cluster::new(ClusterConfig::new(nodes, engine, net));
+        let mut wl = cluster.load_small(WorkloadKind::Tatp, cross_bp, seed);
+        let mut at = SimTime::ZERO;
+        for _ in 0..txns {
+            cluster.execute(wl.next(), at);
+            at += SimTime::from_us(10.0);
+        }
+        cluster.end_of_run(at);
+        cluster
+    }
+
+    #[test]
+    fn end_of_run_leaves_no_prepared_payload_on_a_lossy_cluster() {
+        let net = NetConfig::healthy(21).with_rates(2_500, 1_500, 2_000, 600);
+        let cluster = run(4, net, 6_000, 21, 400);
+        let report = cluster.report();
+        assert!(
+            report.in_doubt_resolved > 0,
+            "no doubt to resolve: {report:?}"
+        );
+        for (n, node) in cluster.nodes.iter().enumerate() {
+            let held: Vec<(u64, u32)> = node.seen.prepared().collect();
+            assert!(held.is_empty(), "node {n} still holds {held:?}");
+            assert!(node.engine.prepared_branches().is_empty(), "node {n}");
+        }
+        cluster.verify_atomicity().expect("atomic");
+    }
+
+    #[test]
+    fn beyond_p99_counts_commits_strictly_above_it() {
+        let mut cluster = run(2, NetConfig::healthy(5), 5_000, 5, 300);
+        let report = cluster.report();
+        assert!(report.global_committed > 50, "{report:?}");
+        let above = cluster
+            .commit_latencies_ps
+            .iter()
+            .filter(|&&ps| ps > report.commit_p99.as_ps())
+            .count() as u64;
+        assert_eq!(report.commit_beyond_p99, above);
+
+        // 1..=200 ps: p99 is the sample at rank round(199 × 0.99) = 197,
+        // i.e. 198 ps, so exactly two lie beyond it; ties at p99 do not.
+        cluster.commit_latencies_ps = (1..=200).rev().collect();
+        let report = cluster.report();
+        assert_eq!(report.commit_p99, SimTime::from_ps(198));
+        assert_eq!(report.commit_beyond_p99, 2);
+        cluster.commit_latencies_ps = vec![7; 50];
+        assert_eq!(cluster.report().commit_beyond_p99, 0);
+        cluster.commit_latencies_ps.clear();
+        assert_eq!(cluster.report().commit_beyond_p99, 0);
     }
 }

@@ -40,6 +40,7 @@
 #![deny(missing_docs)]
 
 pub mod cluster;
+mod gtxn;
 pub mod net;
 
 pub use cluster::{Cluster, ClusterConfig, ClusterReport, CoordStep, Node, GTXN_BASE};

@@ -1507,7 +1507,7 @@ impl Engine {
             .remove(&txn)
             .unwrap_or_else(|| panic!("resolve of unknown prepared txn {txn}"));
         self.tel.set_txn(txn);
-        if commit {
+        let outcome = if commit {
             let cpu = self.commit_cpu(p.locks_taken);
             let body = p.wrote.then_some(LogBodyRef::Commit);
             let Some(done) = self.seal(txn, body, p.agent, at, cpu, "commit") else {
@@ -1531,7 +1531,15 @@ impl Engine {
                 reason: AbortReason::Coordinator,
                 latency: done - at,
             }
+        };
+        // The branch took the scratch undo buffer with it at prepare; give
+        // the larger of the two back so the next transaction need not
+        // re-grow one.
+        p.undo.clear();
+        if p.undo.capacity() > self.scratch.undo.capacity() {
+            self.scratch.undo = p.undo;
         }
+        outcome
     }
 
     /// Local transaction ids of branches currently held prepared.
