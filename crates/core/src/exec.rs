@@ -1870,9 +1870,15 @@ impl Engine {
     /// Descend every enumerated probe in lock-step: all entries move one
     /// tree level per pass, across tables, so consecutive iterations are
     /// independent loads the core overlaps instead of one dependent chain
-    /// of misses per key. Host time only — nothing here is priced; each
-    /// entry ends up holding exactly what `index.get` returns. A lone probe
-    /// has nothing to overlap with and keeps its live walk.
+    /// of misses per key. Then touch each found record's slot entry and
+    /// first byte in its resident page, so those misses overlap too instead
+    /// of each stalling its op's `record_len`/`get_into` later. Host time
+    /// only — nothing here is priced, and [`BufferPool::peek`] leaves the
+    /// pool untouched; each entry ends up holding exactly what `index.get`
+    /// returns. A lone probe has nothing to overlap with and keeps its live
+    /// walk.
+    ///
+    /// [`BufferPool::peek`]: bionic_storage::bufferpool::BufferPool::peek
     fn resolve_ahead(&mut self) {
         let resolved = &mut self.scratch.resolved;
         if resolved.len() < 2 {
@@ -1891,6 +1897,18 @@ impl Engine {
         for e in resolved.iter_mut() {
             e.rid = index_of(e).finish(e.cursor, &e.key, &mut e.fp);
         }
+        // Independent iterations: the core keeps every record's loads in
+        // flight at once. Folding them into one opaque value keeps the
+        // loads from being optimized away.
+        let mut touched = 0usize;
+        for rid in resolved.iter().filter_map(|e| e.rid) {
+            let rid = RecordId::from_u64(rid);
+            let page = self.pool.peek(rid.page);
+            if let Some(rec) = page.and_then(|pg| SlottedPage::read(pg, rid.slot).ok()) {
+                touched ^= rec.len() ^ usize::from(rec.first().copied().unwrap_or(0));
+            }
+        }
+        std::hint::black_box(touched);
     }
 
     /// Build the amortized probe plan for the batch — group planned point

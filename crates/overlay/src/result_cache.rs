@@ -34,7 +34,8 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     map: HashMap<u64, Entry>,
-    table_versions: HashMap<u32, u64>,
+    /// Version per table id; a table past the end has never been written.
+    table_versions: Vec<u64>,
     capacity_bytes: usize,
     used_bytes: usize,
     tick: u64,
@@ -46,7 +47,7 @@ impl ResultCache {
     pub fn new(capacity_bytes: usize) -> Self {
         ResultCache {
             map: HashMap::new(),
-            table_versions: HashMap::new(),
+            table_versions: Vec::new(),
             capacity_bytes,
             used_bytes: 0,
             tick: 0,
@@ -56,12 +57,21 @@ impl ResultCache {
 
     /// Current version of `table` (0 if never written).
     pub fn table_version(&self, table: u32) -> u64 {
-        self.table_versions.get(&table).copied().unwrap_or(0)
+        self.table_versions
+            .get(table as usize)
+            .copied()
+            .unwrap_or(0)
     }
 
     /// Record a committed write to `table`, invalidating dependent results.
+    /// Versions are a dense table indexed by id, sized to the largest id
+    /// written — the engine's table ids are its table indexes.
     pub fn bump_table(&mut self, table: u32) {
-        *self.table_versions.entry(table).or_insert(0) += 1;
+        let t = table as usize;
+        if t >= self.table_versions.len() {
+            self.table_versions.resize(t + 1, 0);
+        }
+        self.table_versions[t] += 1;
     }
 
     /// Look up a result by fingerprint. Stale entries are dropped.
@@ -74,10 +84,7 @@ impl ResultCache {
                 self.stats.misses += 1;
                 return None;
             }
-            Some(e) => e
-                .deps
-                .iter()
-                .all(|&(t, v)| self.table_versions.get(&t).copied().unwrap_or(0) == v),
+            Some(e) => e.deps.iter().all(|&(t, v)| self.table_version(t) == v),
         };
         if !valid {
             let dead = self.map.remove(&fingerprint).expect("checked above");

@@ -189,6 +189,15 @@ impl EnergyMeter {
         self.by_domain[domain as usize] += e.0;
     }
 
+    /// The Cache and Dram accumulators, for the cache model's run kernel
+    /// to add into directly.
+    pub(crate) fn cache_and_dram_mut(&mut self) -> (&mut f64, &mut f64) {
+        const _: () =
+            assert!(EnergyDomain::Cache as usize == 1 && EnergyDomain::Dram as usize == 2);
+        let [_, cache, dram, ..] = &mut self.by_domain;
+        (cache, dram)
+    }
+
     /// Energy spent in one domain so far.
     pub fn domain(&self, domain: EnergyDomain) -> Energy {
         Energy(self.by_domain[domain as usize])

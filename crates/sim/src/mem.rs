@@ -7,7 +7,7 @@
 //! pointer chasing *schedulable*: fixed 400 ns latency, massive request
 //! parallelism, no cache to miss.
 
-use crate::energy::Energy;
+use crate::energy::{Energy, EnergyMeter};
 use crate::rng::SplitMix64;
 use crate::server::PipelinedUnit;
 use crate::time::SimTime;
@@ -48,30 +48,6 @@ impl AccessClass {
             AccessClass::Sequential => "sequential",
         }
     }
-}
-
-/// Which level of the hierarchy served an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MemLevel {
-    /// First-level cache.
-    L1,
-    /// Second-level cache.
-    L2,
-    /// Last-level cache.
-    L3,
-    /// Host DRAM.
-    Dram,
-}
-
-/// Outcome of a single modeled access.
-#[derive(Debug, Clone, Copy)]
-pub struct AccessOutcome {
-    /// Stall time charged to the accessing core.
-    pub latency: SimTime,
-    /// Energy spent in SRAM/DRAM.
-    pub energy: Energy,
-    /// Level that served the access.
-    pub level: MemLevel,
 }
 
 /// Per-level timing/energy plus hit probabilities per access class.
@@ -128,10 +104,31 @@ fn class_index(c: AccessClass) -> usize {
     }
 }
 
+/// `⌈c·2⁵³⌉`: the smallest 53-bit draw `m` with `m·2⁻⁵³ ≥ c` (0 for
+/// `c ≤ 0`). Scaling by a power of two and `ceil` are exact in f64.
+fn draw_threshold(c: f64) -> u64 {
+    (c * (1u64 << 53) as f64).ceil() as u64
+}
+
 /// A probabilistic host cache hierarchy with deterministic randomness.
+///
+/// Each access draws `x` uniform in `[0, 1)` and is served by the first
+/// level `j` with `x < c_j`, where `c_j = p_0 + … + p_j` of its class
+/// (DRAM when there is none). The draw is taken as the integer `m` with
+/// `x = m·2⁻⁵³` and compared against precomputed integer thresholds, which
+/// decides exactly what the float comparison would (DESIGN.md
+/// "Timing-model decisions").
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
     cfg: CacheHierarchyConfig,
+    /// `thresholds[class][j] = max over k ≤ j of ⌈c_k·2⁵³⌉`: non-decreasing,
+    /// so the number of thresholds a draw reaches is its first-match level.
+    thresholds: [[u64; 3]; 4],
+    latency_ps: [u64; 4],
+    /// Energy of an access served at each level, split by domain: a level
+    /// adds `+0.0` to the domain it does not charge.
+    cache_energy: [f64; 4],
+    dram_energy: [f64; 4],
     rng: SplitMix64,
     hits: [[u64; 4]; 4], // [class][level]
 }
@@ -143,7 +140,17 @@ impl CacheHierarchy {
             let s: f64 = class.iter().sum();
             assert!(s <= 1.0 + 1e-9, "hit probabilities exceed 1: {s}");
         }
+        let thresholds = cfg.hit_prob.map(|[p0, p1, p2]| {
+            let t0 = draw_threshold(p0);
+            let t1 = t0.max(draw_threshold(p0 + p1));
+            [t0, t1, t1.max(draw_threshold(p0 + p1 + p2))]
+        });
+        let e = cfg.level_energy.map(Energy::as_j);
         CacheHierarchy {
+            thresholds,
+            latency_ps: cfg.level_latency.map(SimTime::as_ps),
+            cache_energy: [e[0], e[1], e[2], 0.0],
+            dram_energy: [0.0, 0.0, 0.0, e[3]],
             cfg,
             rng: SplitMix64::new(seed),
             hits: [[0; 4]; 4],
@@ -155,38 +162,44 @@ impl CacheHierarchy {
         Self::new(CacheHierarchyConfig::xeon_oltp(), seed)
     }
 
-    /// Model one access of the given class.
-    pub fn access(&mut self, class: AccessClass) -> AccessOutcome {
+    /// Model `n` accesses of one class: returns their summed stall time and
+    /// adds each access's energy to `meter`'s Cache or Dram domain (DRAM
+    /// hits only to Dram), one access at a time in draw order.
+    pub fn access_run(&mut self, class: AccessClass, n: u64, meter: &mut EnergyMeter) -> SimTime {
         let ci = class_index(class);
-        let p = self.cfg.hit_prob[ci];
-        let x = self.rng.next_f64();
-        let (li, level) = if x < p[0] {
-            (0, MemLevel::L1)
-        } else if x < p[0] + p[1] {
-            (1, MemLevel::L2)
-        } else if x < p[0] + p[1] + p[2] {
-            (2, MemLevel::L3)
-        } else {
-            (3, MemLevel::Dram)
-        };
-        self.hits[ci][li] += 1;
-        AccessOutcome {
-            latency: self.cfg.level_latency[li],
-            energy: self.cfg.level_energy[li],
-            level,
+        let [t0, t1, t2] = self.thresholds[ci];
+        let (cache_acc, dram_acc) = meter.cache_and_dram_mut();
+        let (mut cache, mut dram) = (*cache_acc, *dram_acc);
+        let mut reached = [0u64; 3];
+        for _ in 0..n {
+            let m = self.rng.next_u64() >> 11;
+            let r = [(m >= t0) as u64, (m >= t1) as u64, (m >= t2) as u64];
+            let li = (r[0] + r[1] + r[2]) as usize;
+            reached = [reached[0] + r[0], reached[1] + r[1], reached[2] + r[2]];
+            // `x + 0.0` is `x` bit for bit for every `x` but −0.0, which a
+            // meter that starts at +0.0 never holds.
+            cache += self.cache_energy[li];
+            dram += self.dram_energy[li];
         }
+        (*cache_acc, *dram_acc) = (cache, dram);
+        let counts = [
+            n - reached[0],
+            reached[0] - reached[1],
+            reached[1] - reached[2],
+            reached[2],
+        ];
+        let mut ps = 0;
+        for (l, count) in counts.into_iter().enumerate() {
+            self.hits[ci][l] += count;
+            ps += count * self.latency_ps[l];
+        }
+        SimTime::from_ps(ps)
     }
 
-    /// Model `n` accesses of one class, returning summed latency and energy.
-    pub fn access_many(&mut self, class: AccessClass, n: u64) -> (SimTime, Energy) {
-        let mut t = SimTime::ZERO;
-        let mut e = Energy::ZERO;
-        for _ in 0..n {
-            let o = self.access(class);
-            t += o.latency;
-            e += o.energy;
-        }
-        (t, e)
+    /// The model's draw stream (its next state), for replay and
+    /// differential tests.
+    pub fn rng(&self) -> &SplitMix64 {
+        &self.rng
     }
 
     /// Expected (mean) latency of one access of `class` — the analytic value
@@ -294,7 +307,7 @@ mod tests {
     fn hierarchy_latency_converges_to_expectation() {
         let mut h = CacheHierarchy::xeon_oltp(1);
         let n = 200_000;
-        let (t, _) = h.access_many(AccessClass::PointerChase, n);
+        let t = h.access_run(AccessClass::PointerChase, n, &mut EnergyMeter::new());
         let mean = t.as_ns() / n as f64;
         let expect = h.expected_latency(AccessClass::PointerChase).as_ns();
         assert!(
@@ -314,7 +327,7 @@ mod tests {
     #[test]
     fn hit_counters_track_accesses() {
         let mut h = CacheHierarchy::xeon_oltp(3);
-        h.access_many(AccessClass::Index, 1000);
+        h.access_run(AccessClass::Index, 1000, &mut EnergyMeter::new());
         let counts = h.hit_counts(AccessClass::Index);
         assert_eq!(counts.iter().sum::<u64>(), 1000);
         // Index class: some DRAM misses should occur (p=0.2).
@@ -325,9 +338,11 @@ mod tests {
     fn deterministic_given_seed() {
         let mut a = CacheHierarchy::xeon_oltp(42);
         let mut b = CacheHierarchy::xeon_oltp(42);
-        let (ta, _) = a.access_many(AccessClass::PointerChase, 1000);
-        let (tb, _) = b.access_many(AccessClass::PointerChase, 1000);
+        let (mut ma, mut mb) = (EnergyMeter::new(), EnergyMeter::new());
+        let ta = a.access_run(AccessClass::PointerChase, 1000, &mut ma);
+        let tb = b.access_run(AccessClass::PointerChase, 1000, &mut mb);
         assert_eq!(ta, tb);
+        assert_eq!(ma.total(), mb.total());
     }
 
     #[test]

@@ -175,17 +175,7 @@ impl Platform {
     /// energy goes to the meter (split cache vs DRAM is folded into Cache/
     /// Dram domains by level).
     pub fn cpu_mem_access(&mut self, class: AccessClass, n: u64) -> SimTime {
-        let mut total = SimTime::ZERO;
-        for _ in 0..n {
-            let o = self.cpu_mem.access(class);
-            total += o.latency;
-            let domain = match o.level {
-                crate::mem::MemLevel::Dram => EnergyDomain::Dram,
-                _ => EnergyDomain::Cache,
-            };
-            self.energy.charge(domain, o.energy);
-        }
-        total
+        self.cpu_mem.access_run(class, n, &mut self.energy)
     }
 
     /// A convenience bundle: straight-line software step of `instructions`

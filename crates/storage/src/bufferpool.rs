@@ -185,6 +185,14 @@ impl BufferPool {
         (f(&mut frame.page), access)
     }
 
+    /// The resident image of `id`, or `None` if it is on disk only. A read
+    /// that leaves the pool exactly as it found it: it never faults, sets
+    /// no CLOCK reference bit, counts nothing in [`PoolStats`] and dirties
+    /// nothing — so it is free to take on pages no modeled access makes.
+    pub fn peek(&self, id: PageId) -> Option<&Page> {
+        self.frame_of(id).map(|idx| &self.frames[idx].page)
+    }
+
     /// Is the page currently held in a frame?
     pub fn is_resident(&self, id: PageId) -> bool {
         self.frame_of(id).is_some()

@@ -108,8 +108,7 @@ impl HeapFile {
     pub fn get(&self, pool: &mut BufferPool, rid: RecordId) -> (Option<Vec<u8>>, HeapFootprint) {
         let mut fp = HeapFootprint::default();
         let (result, access) = pool.with_page_mut(rid.page, |pg| {
-            let sp = SlottedPage::attach(pg);
-            sp.get(rid.slot).map(<[u8]>::to_vec).ok()
+            SlottedPage::read(pg, rid.slot).map(<[u8]>::to_vec).ok()
         });
         fp.absorb(access);
         (result, fp)
@@ -127,8 +126,7 @@ impl HeapFile {
         out.clear();
         let mut fp = HeapFootprint::default();
         let (result, access) = pool.with_page_mut(rid.page, |pg| {
-            let sp = SlottedPage::attach(pg);
-            sp.get(rid.slot).ok().map(|r| {
+            SlottedPage::read(pg, rid.slot).ok().map(|r| {
                 out.extend_from_slice(r);
                 r.len()
             })
@@ -146,8 +144,7 @@ impl HeapFile {
     ) -> (Option<usize>, HeapFootprint) {
         let mut fp = HeapFootprint::default();
         let (result, access) = pool.with_page_mut(rid.page, |pg| {
-            let sp = SlottedPage::attach(pg);
-            sp.get(rid.slot).ok().map(<[u8]>::len)
+            SlottedPage::read(pg, rid.slot).ok().map(<[u8]>::len)
         });
         fp.absorb(access);
         (result, fp)

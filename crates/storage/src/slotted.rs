@@ -60,6 +60,20 @@ fn put_u16(b: &mut [u8], off: usize, v: u16) {
     b[off..off + 2].copy_from_slice(&v.to_le_bytes());
 }
 
+/// Slot `i`'s `(offset, len)` directory entry; `None` past the slot count
+/// or where the entry itself would lie outside the page.
+fn slot_entry(b: &[u8; PAGE_SIZE], i: u16) -> Option<(usize, usize)> {
+    if i >= get_u16(b, OFF_NSLOTS) {
+        return None;
+    }
+    let off = HEADER + i as usize * SLOT_BYTES;
+    let [o0, o1, l0, l1] = *b.get(off..off + SLOT_BYTES)?.first_chunk()?;
+    Some((
+        u16::from_le_bytes([o0, o1]) as usize,
+        u16::from_le_bytes([l0, l1]) as usize,
+    ))
+}
+
 /// A view over a [`Page`] interpreted as a slotted page.
 ///
 /// The view is a thin wrapper; all state lives in the page bytes, so pages
@@ -128,13 +142,7 @@ impl<'a> SlottedPage<'a> {
     }
 
     fn slot(&self, i: u16) -> Option<(usize, usize)> {
-        if i >= self.slot_count() {
-            return None;
-        }
-        let off = HEADER + i as usize * SLOT_BYTES;
-        let rec_off = get_u16(self.b(), off) as usize;
-        let rec_len = get_u16(self.b(), off + 2) as usize;
-        Some((rec_off, rec_len))
+        slot_entry(self.b(), i)
     }
 
     fn set_slot(&mut self, i: u16, rec_off: u16, rec_len: u16) {
@@ -234,10 +242,19 @@ impl<'a> SlottedPage<'a> {
         Ok(slot)
     }
 
-    /// Read a record by slot.
+    /// Read a record by slot (see [`SlottedPage::read`]).
     pub fn get(&self, slot: u16) -> Result<&[u8], SlotError> {
-        match self.slot(slot) {
-            Some((off, len)) if off != 0 => Ok(&self.b()[off..off + len]),
+        Self::read(self.page, slot)
+    }
+
+    /// Read a record by slot from a page the caller may only read. Never
+    /// panics, whatever the page bytes: a slot past the directory, a
+    /// tombstone, or a directory entry or body that would lie outside the
+    /// page is [`SlotError::NoSuchSlot`].
+    pub fn read(page: &Page, slot: u16) -> Result<&[u8], SlotError> {
+        let b = page.bytes();
+        match slot_entry(b, slot) {
+            Some((off, len)) if off != 0 => b.get(off..off + len).ok_or(SlotError::NoSuchSlot),
             _ => Err(SlotError::NoSuchSlot),
         }
     }
@@ -333,10 +350,7 @@ impl<'a> SlottedPage<'a> {
 
     /// Iterate live `(slot, record)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count()).filter_map(move |i| match self.slot(i) {
-            Some((off, len)) if off != 0 => Some((i, &self.b()[off..off + len])),
-            _ => None,
-        })
+        (0..self.slot_count()).filter_map(move |i| self.get(i).ok().map(|r| (i, r)))
     }
 }
 

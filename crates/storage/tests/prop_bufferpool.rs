@@ -13,6 +13,7 @@
 use bionic_storage::bufferpool::{Access, BufferPool, PoolStats};
 use bionic_storage::disk::DiskManager;
 use bionic_storage::page::{Page, PageId};
+use bionic_storage::slotted::SlottedPage;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -343,5 +344,83 @@ proptest! {
             prop_assert_eq!(stamp_of(&on_disk), reference.disk[id.0 as usize], "{:?}", id);
             prop_assert!(on_disk.bytes()[8..].iter().all(|&b| b == 0));
         }
+    }
+}
+
+/// What the engine's resolve-ahead touch does to a page: peek at it and,
+/// if resident, read one slot's entry and first byte — whatever the bytes.
+fn peek_and_touch(pool: &BufferPool, id: PageId, slot: u16) -> Option<usize> {
+    let rec = SlottedPage::read(pool.peek(id)?, slot).ok()?;
+    Some(rec.len() ^ usize::from(rec.first().copied().unwrap_or(0)))
+}
+
+/// Everything a caller can observe of a pool without changing it.
+fn observe(
+    pool: &BufferPool,
+    ids: &[PageId],
+) -> (PoolStats, usize, Vec<bool>, Vec<PageId>, (u64, u64)) {
+    (
+        pool.stats(),
+        pool.resident(),
+        ids.iter().map(|&id| pool.is_resident(id)).collect(),
+        pool.dirty_page_ids(),
+        pool.disk_io(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn peek_and_touch_leave_the_pool_as_they_found_it(
+        ops in prop::collection::vec(pool_op(), 1..200),
+        capacity in 1usize..10,
+        npages in 1usize..16,
+        slot in any::<u16>(),
+    ) {
+        // Twin pools on the same traffic; one also peeks at and touches
+        // every page (plus ids it has never seen) after each op.
+        let mut plain = BufferPool::new(capacity, DiskManager::new());
+        let mut peeked = BufferPool::new(capacity, DiskManager::new());
+        let mut ids: Vec<PageId> = (0..npages).map(|_| plain.allocate_page().0).collect();
+        for _ in 0..npages {
+            peeked.allocate_page();
+        }
+        ids.extend([PageId(npages as u64 + 3), PageId::INVALID]);
+        for (lsn, op) in (1u64..).zip(ops) {
+            for pool in [&mut plain, &mut peeked] {
+                match op {
+                    PoolOp::Write(i) => {
+                        // The second word gives the touch slot counts and
+                        // directory entries to read.
+                        let noise = lsn.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        pool.with_page_mut(ids[i % npages], |pg| {
+                            pg.bytes_mut()[..8].copy_from_slice(&lsn.to_le_bytes());
+                            pg.bytes_mut()[8..16].copy_from_slice(&noise.to_le_bytes());
+                        });
+                    }
+                    PoolOp::Read(i) => {
+                        pool.with_page(ids[i % npages], |_| ());
+                    }
+                    PoolOp::FlushSome(n) => {
+                        pool.flush_some(n % 4);
+                    }
+                    PoolOp::Pressure => {
+                        pool.allocate_page();
+                    }
+                }
+            }
+            for &id in &ids {
+                let page = peeked.peek(id);
+                prop_assert_eq!(page.is_some(), peeked.is_resident(id), "{:?}", id);
+                for s in [0, 1, slot] {
+                    peek_and_touch(&peeked, id, s);
+                }
+            }
+            prop_assert_eq!(observe(&peeked, &ids), observe(&plain, &ids));
+        }
+        // The next victim: one more fault evicts the same frame in both.
+        prop_assert_eq!(peeked.allocate_page(), plain.allocate_page());
+        prop_assert_eq!(observe(&peeked, &ids), observe(&plain, &ids));
     }
 }

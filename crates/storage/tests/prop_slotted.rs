@@ -147,3 +147,76 @@ proptest! {
         }
     }
 }
+
+/// The read rule spelled out on raw bytes with no slicing that can fail:
+/// a live slot inside the directory whose entry and body both lie inside
+/// the page.
+fn reference_read(b: &[u8; PAGE_SIZE], slot: u16) -> Option<Vec<u8>> {
+    if usize::from(slot) >= get_u16(b, OFF_NSLOTS) {
+        return None;
+    }
+    let entry = HEADER + usize::from(slot) * SLOT_BYTES;
+    if entry + SLOT_BYTES > PAGE_SIZE {
+        return None;
+    }
+    let (off, len) = (get_u16(b, entry), get_u16(b, entry + 2));
+    (off != 0 && off + len <= PAGE_SIZE).then(|| b[off..off + len].to_vec())
+}
+
+/// A page image to read from: uniform garbage, or a real slotted page
+/// with some of its header, directory or body bytes overwritten.
+fn hostile_page() -> impl Strategy<Value = Page> {
+    let garbage = prop::collection::vec(any::<u8>(), PAGE_SIZE..PAGE_SIZE + 1).prop_map(|bytes| {
+        let mut page = Page::zeroed();
+        page.bytes_mut().copy_from_slice(&bytes);
+        page
+    });
+    let damaged = (
+        prop::collection::vec((0usize..600, any::<u8>()), 0..40),
+        prop::collection::vec((0usize..PAGE_SIZE, any::<u8>()), 0..40),
+    )
+        .prop_map(|(near, anywhere)| {
+            let mut page = Page::zeroed();
+            let mut sp = SlottedPage::init(&mut page);
+            for (i, &(len, fill)) in near.iter().enumerate() {
+                let _ = sp.insert(&vec![fill; len / 3 + i % 5]);
+            }
+            // Overwrite bytes: the first 600 hold the header and directory.
+            for (at, byte) in near.into_iter().chain(anywhere) {
+                page.bytes_mut()[at] = byte;
+            }
+            page
+        });
+    prop_oneof![garbage, damaged.clone(), damaged]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn reads_of_arbitrary_page_bytes_never_panic(
+        page in hostile_page(),
+        slots in prop::collection::vec(any::<u16>(), 1..16),
+    ) {
+        let mut page = page;
+        let nslots = get_u16(page.bytes(), OFF_NSLOTS) as u16;
+        let probe = slots
+            .into_iter()
+            .chain(0..nslots.min(48))
+            .chain([nslots.wrapping_sub(1), nslots, u16::MAX]);
+        for slot in probe {
+            let want = reference_read(page.bytes(), slot);
+            let read = SlottedPage::read(&page, slot).map(<[u8]>::to_vec).ok();
+            prop_assert_eq!(&read, &want, "read of slot {}", slot);
+            let sp = SlottedPage::attach(&mut page);
+            prop_assert_eq!(sp.get(slot).map(<[u8]>::to_vec).ok(), want, "get of slot {}", slot);
+        }
+        let expect: Vec<(u16, Vec<u8>)> = (0..nslots)
+            .filter_map(|s| reference_read(page.bytes(), s).map(|r| (s, r)))
+            .collect();
+        let sp = SlottedPage::attach(&mut page);
+        let _ = (sp.lsn(), sp.contiguous_free());
+        let live: Vec<(u16, Vec<u8>)> = sp.iter().map(|(s, r)| (s, r.to_vec())).collect();
+        prop_assert_eq!(live, expect);
+    }
+}

@@ -6,8 +6,7 @@
 //! crash survives is decided here by the durable/volatile split: everything
 //! past `durable_lsn` dies with the process.
 
-use crate::record::{LogBody, LogBodyRef, LogRecord, Lsn, TxnId, NULL_LSN};
-use std::collections::HashMap;
+use crate::record::{LogBody, LogBodyRef, LogRecord, Lsn, TxnId, TxnMap, NULL_LSN};
 
 /// The write-ahead log.
 #[derive(Debug, Clone, Default)]
@@ -16,7 +15,7 @@ pub struct LogManager {
     /// LSN of the first byte in `buf` (grows when the prefix is truncated).
     base_lsn: Lsn,
     durable_lsn: Lsn,
-    last_lsn: HashMap<TxnId, Lsn>,
+    last_lsn: TxnMap<Lsn>,
     last_checkpoint: Option<Lsn>,
     flushes: u64,
     appends: u64,

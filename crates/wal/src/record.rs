@@ -16,11 +16,47 @@
 //! place at the tail of a byte vector, and the owned [`LogRecord::encode`]
 //! goes through it via [`LogBody::as_ref`].
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
 /// Log sequence number: the byte offset of a record in the log.
 pub type Lsn = u64;
 
 /// Transaction identifier.
 pub type TxnId = u64;
+
+/// Hasher for [`TxnId`]-keyed maps on the per-append path: one multiply by
+/// an odd constant with the high half folded down, where SipHash costs a
+/// few dozen cycles per key. Ids are handed out by the engine, so there is
+/// no outside input to craft collisions. Deterministic, which changes
+/// nothing a caller sees: std's iteration order was already random per
+/// process, so every reader of these maps sorts.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct TxnIdHasher(u64);
+
+impl Hasher for TxnIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by transaction id, hashed with [`TxnIdHasher`].
+pub(crate) type TxnMap<V> = HashMap<TxnId, V, BuildHasherDefault<TxnIdHasher>>;
+
+/// A set of transaction ids, hashed with [`TxnIdHasher`].
+pub(crate) type TxnSet = HashSet<TxnId, BuildHasherDefault<TxnIdHasher>>;
 
 /// LSN value meaning "none" (start of chain).
 pub const NULL_LSN: Lsn = u64::MAX;

@@ -17,11 +17,11 @@
 //! The same undo machinery serves runtime aborts ([`undo_txn`]).
 
 use crate::manager::LogManager;
-use crate::record::{ClrAction, LogBody, LogRecord, Lsn, TxnId, NULL_LSN};
+use crate::record::{ClrAction, LogBody, LogRecord, Lsn, TxnId, TxnMap, TxnSet, NULL_LSN};
 use bionic_storage::bufferpool::BufferPool;
 use bionic_storage::page::RecordId;
 use bionic_storage::slotted::SlottedPage;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Summary of a completed recovery.
 #[derive(Debug, Clone, Default)]
@@ -195,10 +195,10 @@ pub fn recover_with(
 
     // ---- Analysis ------------------------------------------------------
     // Start from the last checkpoint if any; seed with its active set.
-    let mut txn_last: HashMap<TxnId, Lsn> = HashMap::new();
-    let mut committed: HashSet<TxnId> = HashSet::new();
-    let mut ended: HashSet<TxnId> = HashSet::new();
-    let mut prepared: HashMap<TxnId, (u64, u32)> = HashMap::new();
+    let mut txn_last: TxnMap<Lsn> = TxnMap::default();
+    let mut committed = TxnSet::default();
+    let mut ended = TxnSet::default();
+    let mut prepared: TxnMap<(u64, u32)> = TxnMap::default();
     let mut redo_start: Lsn = 0;
     let start = match lm.last_checkpoint() {
         Some(ck) => {

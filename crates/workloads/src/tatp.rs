@@ -301,7 +301,8 @@ impl TatpGenerator {
 
     /// Build a program of a specific type into `prog`. Unless `prog`
     /// already holds this type's program (a pool slot filled by an earlier
-    /// call), it is first replaced by the type's [`TatpGenerator::skeleton`];
+    /// call), it is first replaced by the type's skeleton (the private
+    /// `TatpGenerator::skeleton`);
     /// then its keys and payload bytes are refilled in place, with no
     /// allocation. The RNG draws are the same either way, so the generated
     /// stream does not depend on what `prog` held.
