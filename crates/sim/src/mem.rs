@@ -196,8 +196,8 @@ impl CacheHierarchy {
         SimTime::from_ps(ps)
     }
 
-    /// The model's draw stream (its next state), for replay and
-    /// differential tests.
+    /// The model's draw stream, positioned at its next draw — for replay
+    /// and differential tests.
     pub fn rng(&self) -> &SplitMix64 {
         &self.rng
     }
