@@ -116,11 +116,57 @@ struct Link {
     part_left: u32,
 }
 
+impl Link {
+    /// The link `from → to`'s own substream: the directed pair is mixed
+    /// into the seed, so (0,1) and (1,0) are independent streams.
+    fn seeded(seed: u64, from: u32, to: u32) -> Link {
+        let key = ((from as u64) << 32) | to as u64;
+        Link {
+            rng: SplitMix64::new(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            part_left: 0,
+        }
+    }
+}
+
+/// Directed links in a dense `side × side` table, row `from`, column `to`,
+/// grown to cover the largest endpoint seen; a link is created and seeded
+/// on its first message.
+#[derive(Default)]
+struct Links {
+    table: Vec<Option<Link>>,
+    side: usize,
+}
+
+impl Links {
+    fn get(&mut self, seed: u64, from: u32, to: u32) -> &mut Link {
+        let (f, t) = (from as usize, to as usize);
+        if f.max(t) >= self.side {
+            let side = f.max(t) + 1;
+            let mut table: Vec<Option<Link>> = (0..side * side).map(|_| None).collect();
+            for (i, link) in self.table.drain(..).enumerate() {
+                table[i / self.side * side + i % self.side] = link;
+            }
+            *self = Links { table, side };
+        }
+        self.table[f * self.side + t].get_or_insert_with(|| Link::seeded(seed, from, to))
+    }
+}
+
+/// The knobs' chances as probabilities, computed once per network.
+struct Chances {
+    part: f64,
+    drop: f64,
+    dup: f64,
+    delay: f64,
+}
+
 /// The interconnect: per-directed-link state lazily created on first use,
-/// each link seeded independently of every other.
+/// each link seeded independently of every other. Endpoints are node
+/// indices: the link table is dense, quadratic in the largest one.
 pub struct Network {
     cfg: NetConfig,
-    links: std::collections::BTreeMap<(u32, u32), Link>,
+    chances: Chances,
+    links: Links,
     /// Counters.
     pub stats: NetStats,
 }
@@ -128,9 +174,16 @@ pub struct Network {
 impl Network {
     /// A network with the given parameters.
     pub fn new(cfg: NetConfig) -> Self {
+        let chance = |bp: u32| bp as f64 / 1e4;
         Network {
+            chances: Chances {
+                part: chance(cfg.part_bp),
+                drop: chance(cfg.drop_bp),
+                dup: chance(cfg.dup_bp),
+                delay: chance(cfg.delay_bp),
+            },
             cfg,
-            links: std::collections::BTreeMap::new(),
+            links: Links::default(),
             stats: NetStats::default(),
         }
     }
@@ -140,19 +193,6 @@ impl Network {
         &self.cfg
     }
 
-    fn link(&mut self, from: u32, to: u32) -> &mut Link {
-        let seed = self.cfg.seed;
-        self.links.entry((from, to)).or_insert_with(|| {
-            // Endpoint-keyed substream: mix the directed pair into the
-            // seed so (0,1) and (1,0) are independent streams.
-            let key = ((from as u64) << 32) | to as u64;
-            Link {
-                rng: SplitMix64::new(seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                part_left: 0,
-            }
-        })
-    }
-
     /// Carry one message from `from` to `to`, handed to the NIC at `now`.
     ///
     /// Fixed draw order — partition gate, drop, duplicate, delay, jitter —
@@ -160,29 +200,29 @@ impl Network {
     /// configuration never touches the link's RNG.
     pub fn send(&mut self, from: u32, to: u32, now: SimTime) -> Delivery {
         self.stats.sent += 1;
-        let cfg = self.cfg.clone();
-        let link = self.link(from, to);
+        let (cfg, chances, stats) = (&self.cfg, &self.chances, &mut self.stats);
+        let link = self.links.get(cfg.seed, from, to);
 
         if cfg.part_bp > 0 {
             if link.part_left > 0 {
                 link.part_left -= 1;
-                self.stats.partitioned += 1;
+                stats.partitioned += 1;
                 return Delivery::Dropped;
             }
-            if link.rng.chance(cfg.part_bp as f64 / 1e4) {
+            if link.rng.chance(chances.part) {
                 // The window swallows this message and the next part_msgs-1.
                 link.part_left = cfg.part_msgs.saturating_sub(1);
-                self.stats.partitions += 1;
-                self.stats.partitioned += 1;
+                stats.partitions += 1;
+                stats.partitioned += 1;
                 return Delivery::Dropped;
             }
         }
-        if cfg.drop_bp > 0 && link.rng.chance(cfg.drop_bp as f64 / 1e4) {
-            self.stats.dropped += 1;
+        if cfg.drop_bp > 0 && link.rng.chance(chances.drop) {
+            stats.dropped += 1;
             return Delivery::Dropped;
         }
-        let dup = cfg.dup_bp > 0 && link.rng.chance(cfg.dup_bp as f64 / 1e4);
-        let delayed = cfg.delay_bp > 0 && link.rng.chance(cfg.delay_bp as f64 / 1e4);
+        let dup = cfg.dup_bp > 0 && link.rng.chance(chances.dup);
+        let delayed = cfg.delay_bp > 0 && link.rng.chance(chances.delay);
         let mut latency = cfg.base;
         if delayed {
             latency += cfg.delay_extra;
@@ -191,11 +231,11 @@ impl Network {
             latency += SimTime::from_ps(link.rng.below(cfg.jitter.as_ps() + 1));
         }
         if delayed {
-            self.stats.delayed += 1;
+            stats.delayed += 1;
         }
-        self.stats.delivered += 1;
+        stats.delivered += 1;
         if dup {
-            self.stats.duplicated += 1;
+            stats.duplicated += 1;
         }
         Delivery::Delivered {
             at: now + latency,

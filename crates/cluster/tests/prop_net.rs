@@ -6,11 +6,81 @@
 //! knobs do exactly what they say: zero-rate knobs draw nothing, armed
 //! knobs fire within statistical reach of their basis-point rates, and a
 //! partition window really black-holes everything it covers.
+//!
+//! `Network` keeps its links in a dense table and its knobs' chances
+//! precomputed; [`MapNetwork`] is the model as it was before — links in a
+//! `BTreeMap` keyed by the directed pair, chances derived per message —
+//! kept here as the reference the dense one must match message by message.
 #![recursion_limit = "1024"]
 
-use bionic_cluster::{Delivery, NetConfig, Network};
+use bionic_cluster::{Delivery, NetConfig, NetStats, Network};
+use bionic_sim::rng::SplitMix64;
 use bionic_sim::time::SimTime;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+
+/// The `BTreeMap`-keyed network: per directed pair, the link's substream
+/// and the messages its open partition window still swallows.
+struct MapNetwork {
+    cfg: NetConfig,
+    links: BTreeMap<(u32, u32), (SplitMix64, u32)>,
+    stats: NetStats,
+}
+
+impl MapNetwork {
+    fn new(cfg: NetConfig) -> Self {
+        MapNetwork {
+            cfg,
+            links: BTreeMap::new(),
+            stats: NetStats::default(),
+        }
+    }
+
+    fn send(&mut self, from: u32, to: u32, now: SimTime) -> Delivery {
+        self.stats.sent += 1;
+        let cfg = self.cfg.clone();
+        let (rng, part_left) = self.links.entry((from, to)).or_insert_with(|| {
+            let key = ((from as u64) << 32) | to as u64;
+            (
+                SplitMix64::new(cfg.seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                0,
+            )
+        });
+        if cfg.part_bp > 0 {
+            if *part_left > 0 {
+                *part_left -= 1;
+                self.stats.partitioned += 1;
+                return Delivery::Dropped;
+            }
+            if rng.chance(cfg.part_bp as f64 / 1e4) {
+                *part_left = cfg.part_msgs.saturating_sub(1);
+                self.stats.partitions += 1;
+                self.stats.partitioned += 1;
+                return Delivery::Dropped;
+            }
+        }
+        if cfg.drop_bp > 0 && rng.chance(cfg.drop_bp as f64 / 1e4) {
+            self.stats.dropped += 1;
+            return Delivery::Dropped;
+        }
+        let dup = cfg.dup_bp > 0 && rng.chance(cfg.dup_bp as f64 / 1e4);
+        let delayed = cfg.delay_bp > 0 && rng.chance(cfg.delay_bp as f64 / 1e4);
+        let mut latency = cfg.base;
+        if delayed {
+            latency += cfg.delay_extra;
+            self.stats.delayed += 1;
+        }
+        if !cfg.jitter.is_zero() {
+            latency += SimTime::from_ps(rng.below(cfg.jitter.as_ps() + 1));
+        }
+        self.stats.delivered += 1;
+        self.stats.duplicated += u64::from(dup);
+        Delivery::Delivered {
+            at: now + latency,
+            dup,
+        }
+    }
+}
 
 fn rates() -> impl Strategy<Value = (u32, u32, u32, u32)> {
     (0u32..3_000, 0u32..3_000, 0u32..3_000, 0u32..1_000)
@@ -142,5 +212,38 @@ proptest! {
             (d, net.stats)
         };
         prop_assert_eq!(go(), go());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Every knob armed, jitter on, traffic over random directed pairs of up
+    // to six nodes in random order (so the dense table grows mid-run): the
+    // dense network delivers exactly what the `BTreeMap` one does.
+    #[test]
+    fn dense_links_match_the_map_keyed_network(
+        seed in any::<u64>(),
+        rates in (1u32..4_000, 1u32..4_000, 1u32..4_000, 1u32..1_500),
+        part_msgs in 0u32..10,
+        jitter_ns in 1u64..20_000,
+        traffic in prop::collection::vec((0u32..6, 0u32..6, 0u64..50_000), 1..400),
+    ) {
+        let (drop, dup, delay, part) = rates;
+        let mut cfg = NetConfig::healthy(seed).with_rates(drop, dup, delay, part);
+        cfg.part_msgs = part_msgs;
+        cfg.jitter = SimTime::from_ns(jitter_ns as f64);
+        let mut dense = Network::new(cfg.clone());
+        let mut map = MapNetwork::new(cfg);
+        let mut now = SimTime::ZERO;
+        for (i, &(from, to, gap_ns)) in traffic.iter().enumerate() {
+            now += SimTime::from_ns(gap_ns as f64);
+            prop_assert_eq!(
+                dense.send(from, to, now),
+                map.send(from, to, now),
+                "message {} from {} to {}", i, from, to
+            );
+        }
+        prop_assert_eq!(dense.stats, map.stats);
     }
 }

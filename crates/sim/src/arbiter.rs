@@ -35,7 +35,7 @@
 //! the E13 property test checks: per-window fills never exceed capacity,
 //! and the per-client byte totals sum exactly to the grand total.
 
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
 use std::collections::BTreeMap;
 
 /// The two contending clients of the hybrid engine (Figure 4).
@@ -69,11 +69,40 @@ impl BwClient {
 /// deciding whether a client is contended (and therefore share-capped).
 const ACTIVITY_HORIZON: u64 = 2;
 
+/// The most clients one arbiter serves: the hybrid engine's two, plus
+/// room for a third in the property tests. Sizes each window's grants
+/// inline, so a new window allocates nothing.
+const MAX_CLIENTS: usize = 3;
+
 /// One arbitration window's fill state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Window {
     total: u64,
-    per_client: Vec<u64>,
+    /// Grants per client; slots past the arbiter's client count stay 0.
+    per_client: [u64; MAX_CLIENTS],
+}
+
+/// Walk `windows`, newest first, from window `w` back to the activity
+/// horizon: is a rival of `client` granted there (so `client` is
+/// share-capped), and window `w` itself if it exists.
+fn walk_back<'a>(
+    windows: impl Iterator<Item = (&'a u64, &'a mut Window)>,
+    client: usize,
+    w: u64,
+) -> (bool, Option<&'a mut Window>) {
+    let horizon = w.saturating_sub(ACTIVITY_HORIZON);
+    let mut capped = false;
+    let mut slot = None;
+    for (&idx, win) in windows {
+        if idx < horizon {
+            break;
+        }
+        capped |= win.total > win.per_client[client];
+        if idx == w {
+            slot = Some(win);
+        }
+    }
+    (capped, slot)
 }
 
 /// Outcome of one bandwidth request.
@@ -89,11 +118,12 @@ pub struct Grant {
 /// A deterministic windowed weighted-share bandwidth arbiter.
 #[derive(Debug, Clone)]
 pub struct SharedBandwidth {
-    bytes_per_sec: f64,
+    bandwidth: Rate,
     window: SimTime,
     capacity: u64,
-    weights: Vec<u64>,
-    weight_sum: u64,
+    /// Per client, its reserved share of a window under contention,
+    /// `capacity × weight / Σweights`, never zero.
+    quotas: Vec<u64>,
     windows: BTreeMap<u64, Window>,
     /// Ledger A: bytes granted per client, maintained at grant time.
     per_client_bytes: Vec<u64>,
@@ -126,14 +156,20 @@ impl SharedBandwidth {
         assert!(!window.is_zero(), "window must be positive");
         assert!(!weights.is_empty(), "need at least one client");
         assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
+        assert!(
+            weights.len() <= MAX_CLIENTS,
+            "at most {MAX_CLIENTS} clients per arbiter"
+        );
         let capacity = (bytes_per_sec * window.as_secs()).round() as u64;
         assert!(capacity > 0, "window too short for this bandwidth");
         SharedBandwidth {
-            bytes_per_sec,
+            bandwidth: Rate::per_sec(bytes_per_sec),
             window,
             capacity,
-            weights: weights.to_vec(),
-            weight_sum: weights.iter().sum(),
+            quotas: weights
+                .iter()
+                .map(|w| (capacity * w / weights.iter().sum::<u64>()).max(1))
+                .collect(),
             windows: BTreeMap::new(),
             per_client_bytes: vec![0; weights.len()],
             total_bytes: 0,
@@ -165,19 +201,6 @@ impl SharedBandwidth {
         SimTime::from_ps(idx * self.window.as_ps())
     }
 
-    /// A client's reserved per-window share under contention, never zero.
-    fn quota(&self, client: usize) -> u64 {
-        (self.capacity * self.weights[client] / self.weight_sum).max(1)
-    }
-
-    /// Does any rival of `client` hold grants in `[w - ACTIVITY_HORIZON, w]`?
-    fn contended(&self, client: usize, w: u64) -> bool {
-        let lo = w.saturating_sub(ACTIVITY_HORIZON);
-        self.windows
-            .range(lo..=w)
-            .any(|(_, win)| win.total > win.per_client[client])
-    }
-
     /// The first window at or after `w` not known closed to `client`.
     fn next_open(&self, client: usize, w: u64) -> u64 {
         match self.closed[client].range(..=w).next_back() {
@@ -200,14 +223,15 @@ impl SharedBandwidth {
     }
 
     /// Uncontended wire time for `bytes`.
+    #[inline]
     pub fn wire_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs(bytes as f64 / self.bytes_per_sec)
+        self.bandwidth.time(bytes)
     }
 
     /// Book `bytes` for `client` arriving at `arrive`. Returns when the
     /// last byte drains and how much of that was arbitration delay.
     pub fn request(&mut self, client: usize, arrive: SimTime, bytes: u64) -> Grant {
-        assert!(client < self.weights.len(), "unknown client {client}");
+        assert!(client < self.quotas.len(), "unknown client {client}");
         self.requests += 1;
         if bytes == 0 {
             return Grant {
@@ -215,18 +239,31 @@ impl SharedBandwidth {
                 queued: SimTime::ZERO,
             };
         }
-        let quota = self.quota(client);
+        let quota = self.quotas[client];
         let mut w = self.next_open(client, self.window_index(arrive));
         let mut remaining = bytes;
         let mut last_fill = 0u64;
         while remaining > 0 {
             self.per_client_examined[client] += 1;
-            let capped = self.contended(client, w);
-            let n_clients = self.weights.len();
-            let win = self.windows.entry(w).or_insert_with(|| Window {
-                total: 0,
-                per_client: vec![0; n_clients],
-            });
+            // One walk back from `w` answers both questions: is any rival
+            // granted in `[w - ACTIVITY_HORIZON, w]` (then `client` is
+            // share-capped), and does window `w` exist yet. At the ledger's
+            // frontier — no window past `w`, the common case for arrivals in
+            // time order — the walk starts at the map's last entry and
+            // searches no key at all; otherwise it costs one search for `w`.
+            let at_frontier = self
+                .windows
+                .last_key_value()
+                .is_none_or(|(&last, _)| last <= w);
+            let (capped, slot) = if at_frontier {
+                walk_back(self.windows.iter_mut().rev(), client, w)
+            } else {
+                walk_back(self.windows.range_mut(..=w).rev(), client, w)
+            };
+            let win = match slot {
+                Some(win) => win,
+                None => self.windows.entry(w).or_default(),
+            };
             let free = self.capacity - win.total;
             let allowed = if capped {
                 free.min(quota.saturating_sub(win.per_client[client]))
@@ -285,13 +322,9 @@ impl SharedBandwidth {
         self.requests
     }
 
-    /// Windows tested for a grant across all requests — the arbiter's own
-    /// work, which must not grow with the backlog a request lands behind.
-    pub fn windows_examined(&self) -> u64 {
-        self.per_client_examined.iter().sum()
-    }
-
-    /// Windows tested for a grant on behalf of one client.
+    /// Windows tested for a grant on behalf of one client — the arbiter's
+    /// own work, which must not grow with the backlog a request lands
+    /// behind.
     pub fn client_windows_examined(&self, client: usize) -> u64 {
         self.per_client_examined[client]
     }
@@ -333,7 +366,7 @@ impl SharedBandwidth {
     /// independently maintained per-client ledgers sum exactly to the
     /// grand total. Returns a description of the first violation.
     pub fn check_conservation(&self) -> Result<(), String> {
-        let mut recomputed = vec![0u64; self.weights.len()];
+        let mut recomputed = vec![0u64; self.quotas.len()];
         for (idx, win) in &self.windows {
             if win.total > self.capacity {
                 return Err(format!(
@@ -348,7 +381,7 @@ impl SharedBandwidth {
                     win.total
                 ));
             }
-            for (c, b) in win.per_client.iter().enumerate() {
+            for (c, b) in win.per_client[..self.quotas.len()].iter().enumerate() {
                 recomputed[c] += b;
             }
         }

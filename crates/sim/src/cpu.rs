@@ -9,13 +9,13 @@
 //! custom hardware reclaims.
 
 use crate::energy::Energy;
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
 
 /// A fixed-rate CPU core cost model.
 #[derive(Debug, Clone)]
 pub struct CpuModel {
-    freq_hz: f64,
-    ipc: f64,
+    /// Instructions retired per second: frequency × IPC.
+    rate: Rate,
     energy_per_instr: Energy,
 }
 
@@ -25,8 +25,7 @@ impl CpuModel {
     pub fn new(freq_hz: f64, ipc: f64, energy_per_instr: Energy) -> Self {
         assert!(freq_hz > 0.0 && ipc > 0.0);
         CpuModel {
-            freq_hz,
-            ipc,
+            rate: Rate::per_sec(freq_hz * ipc),
             energy_per_instr,
         }
     }
@@ -42,20 +41,22 @@ impl CpuModel {
 
     /// Time and energy to execute `instructions` (compute only — memory
     /// stalls are charged separately by the cache model).
+    #[inline]
     pub fn compute(&self, instructions: u64) -> (SimTime, Energy) {
-        let secs = instructions as f64 / (self.freq_hz * self.ipc);
         (
-            SimTime::from_secs(secs),
+            self.rate.time(instructions),
             self.energy_per_instr * instructions,
         )
     }
 
     /// Seconds per instruction — handy for analytic cross-checks.
+    #[inline]
     pub fn instr_time(&self) -> SimTime {
-        SimTime::from_secs(1.0 / (self.freq_hz * self.ipc))
+        self.rate.time(1)
     }
 
     /// Energy per instruction.
+    #[inline]
     pub fn instr_energy(&self) -> Energy {
         self.energy_per_instr
     }

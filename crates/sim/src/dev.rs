@@ -8,14 +8,14 @@
 
 use crate::energy::Energy;
 use crate::server::Server;
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
 
 /// A block storage device modeled as a single FIFO server with a positioning
 /// cost for random requests.
 #[derive(Debug, Clone)]
 pub struct BlockDevice {
     server: Server,
-    bytes_per_sec: f64,
+    bandwidth: Rate,
     seek: SimTime,
     energy_per_byte: Energy,
     energy_per_op: Energy,
@@ -37,7 +37,7 @@ impl BlockDevice {
         assert!(bytes_per_sec > 0.0);
         BlockDevice {
             server: Server::new(),
-            bytes_per_sec,
+            bandwidth: Rate::per_sec(bytes_per_sec),
             seek,
             energy_per_byte,
             energy_per_op,
@@ -73,7 +73,7 @@ impl BlockDevice {
         // request) skips the positioning cost.
         let sequential = self.last_offset == Some(offset);
         let position = if sequential { SimTime::ZERO } else { self.seek };
-        let transfer = SimTime::from_secs(bytes as f64 / self.bytes_per_sec);
+        let transfer = self.bandwidth.time(bytes);
         let (_, done) = self.server.submit(arrive, position + transfer);
         self.last_offset = Some(offset + bytes);
         self.bytes += bytes;

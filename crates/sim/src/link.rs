@@ -7,12 +7,12 @@
 //! CPU↔FPGA communication to be asynchronous (§5).
 
 use crate::energy::Energy;
-use crate::time::SimTime;
+use crate::time::{Rate, SimTime};
 
 /// A FIFO, bandwidth-limited, fixed-latency link.
 #[derive(Debug, Clone)]
 pub struct Link {
-    bytes_per_sec: f64,
+    bandwidth: Rate,
     latency: SimTime,
     energy_per_byte: Energy,
     free_at: SimTime,
@@ -27,7 +27,7 @@ impl Link {
     pub fn new(bytes_per_sec: f64, latency: SimTime, energy_per_byte: Energy) -> Self {
         assert!(bytes_per_sec > 0.0);
         Link {
-            bytes_per_sec,
+            bandwidth: Rate::per_sec(bytes_per_sec),
             latency,
             energy_per_byte,
             free_at: SimTime::ZERO,
@@ -48,8 +48,9 @@ impl Link {
     }
 
     /// Time the wire takes to clock out `bytes` (no queueing, no latency).
+    #[inline]
     pub fn wire_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs(bytes as f64 / self.bytes_per_sec)
+        self.bandwidth.time(bytes)
     }
 
     /// Small-message transfer that does not queue on the shared wire: the

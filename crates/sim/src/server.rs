@@ -201,7 +201,12 @@ impl PipelinedUnit {
         }
         let done = issue + self.latency;
         self.inflight[self.head] = done;
-        self.head = (self.head + 1) % self.depth;
+        // Wrap without a division: this runs once per modeled FPGA op.
+        self.head = if self.head + 1 == self.depth {
+            0
+        } else {
+            self.head + 1
+        };
         self.last_issue = issue;
         self.issued += 1;
         done

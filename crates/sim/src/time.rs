@@ -128,6 +128,60 @@ impl SimTime {
     }
 }
 
+/// Picoseconds in one second, the scale of [`SimTime`].
+const PS_PER_SEC: u64 = 1_000_000_000_000;
+
+/// A constant rate in units (instructions, bytes) per second, priced in
+/// [`SimTime`]: `time(n)` is `SimTime::from_secs(n as f64 / per_sec)`, bit
+/// for bit, for every `n`.
+///
+/// Most of the model's rates take a whole number of picoseconds per unit
+/// (2.5 GHz × IPC 1 is 400 ps per instruction, 4 GB/s is 250 ps per byte).
+/// For those, `time(n)` is the integer product `n · p` wherever that is
+/// provably what the float formula rounds to, and the formula itself only
+/// beyond that bound or for rates like 80 GB/s (12.5 ps per byte). The
+/// argument: `p = 10¹² / per_sec` is checked exactly in integers, so the
+/// formula computes `n · p` through two roundings (`n / per_sec`, then
+/// `× 10¹²`), each off by at most 2⁻⁵³ relative, and lands within
+/// `n · p · 2⁻⁵²` of the integer `n · p`. Below `n · p < 2⁵¹` that is under
+/// half a picosecond, so the final rounding returns `n · p` exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Rate {
+    per_sec: f64,
+    /// `10¹² / per_sec` when that is a whole number, else 0.
+    ps_per_unit: u64,
+    /// The largest `n` priced as `n · ps_per_unit` (0 without an integer
+    /// rate, where `time(0)` is zero either way).
+    exact_max: u64,
+}
+
+impl Rate {
+    /// A rate of `per_sec` units per second.
+    pub fn per_sec(per_sec: f64) -> Self {
+        assert!(per_sec > 0.0, "rate must be positive");
+        let whole = per_sec.fract() == 0.0 && per_sec <= PS_PER_SEC as f64;
+        let ps_per_unit = match per_sec as u64 {
+            units if whole && PS_PER_SEC.is_multiple_of(units) => PS_PER_SEC / units,
+            _ => 0,
+        };
+        Rate {
+            per_sec,
+            ps_per_unit,
+            exact_max: ((1u64 << 51) - 1).checked_div(ps_per_unit).unwrap_or(0),
+        }
+    }
+
+    /// Time to move or execute `n` units at this rate.
+    #[inline]
+    pub fn time(self, n: u64) -> SimTime {
+        if n <= self.exact_max {
+            SimTime(n * self.ps_per_unit)
+        } else {
+            SimTime::from_secs(n as f64 / self.per_sec)
+        }
+    }
+}
+
 impl Add for SimTime {
     type Output = SimTime;
     #[inline]

@@ -9,6 +9,12 @@
 //! differential test below holds it, grant by grant, to [`PlainWalk`] — the
 //! walk that tests every window from the arrival on, which is what shipped
 //! before the jump existed and is kept here only as the reference.
+//!
+//! `request` also finds each window's contention verdict and its slot in
+//! one ledger search, with the grants inline; [`TwoSearch`] is the booking
+//! that shipped before — a `contended` range scan, then an `entry` lookup,
+//! heap-allocated grants — and a second differential test holds the
+//! arbiter to it, window count examined included.
 
 use bionic_sim::arbiter::{Grant, SharedBandwidth};
 use bionic_sim::time::SimTime;
@@ -102,6 +108,111 @@ impl PlainWalk {
     }
 }
 
+/// The booking as it was before the one-search pass: the same closed-run
+/// jumps, but each window tested costs a `contended` range scan plus an
+/// `entry` search, and every window owns a heap vector of grants.
+struct TwoSearch {
+    bw: f64,
+    window: SimTime,
+    capacity: u64,
+    weights: Vec<u64>,
+    windows: BTreeMap<u64, (u64, Vec<u64>)>,
+    closed: Vec<BTreeMap<u64, u64>>,
+    examined: Vec<u64>,
+}
+
+impl TwoSearch {
+    fn new(bw: f64, window: SimTime, weights: &[u64]) -> Self {
+        TwoSearch {
+            bw,
+            window,
+            capacity: (bw * window.as_secs()).round() as u64,
+            weights: weights.to_vec(),
+            windows: BTreeMap::new(),
+            closed: vec![BTreeMap::new(); weights.len()],
+            examined: vec![0; weights.len()],
+        }
+    }
+
+    fn contended(&self, c: usize, w: u64) -> bool {
+        self.windows
+            .range(w.saturating_sub(2)..=w)
+            .any(|(_, (total, per))| *total > per[c])
+    }
+
+    fn next_open(&self, c: usize, w: u64) -> u64 {
+        match self.closed[c].range(..=w).next_back() {
+            Some((_, &end)) if end > w => end,
+            _ => w,
+        }
+    }
+
+    fn close(&mut self, c: usize, w: u64) {
+        let runs = &mut self.closed[c];
+        let end = runs.remove(&(w + 1)).unwrap_or(w + 1);
+        match runs.range_mut(..w).next_back() {
+            Some((_, run_end)) if *run_end == w => *run_end = end,
+            _ => {
+                runs.insert(w, end);
+            }
+        }
+    }
+
+    fn request(&mut self, c: usize, arrive: SimTime, bytes: u64) -> Grant {
+        if bytes == 0 {
+            return Grant {
+                done: arrive,
+                queued: SimTime::ZERO,
+            };
+        }
+        let quota = (self.capacity * self.weights[c] / self.weights.iter().sum::<u64>()).max(1);
+        let mut w = self.next_open(c, arrive.as_ps() / self.window.as_ps());
+        let mut remaining = bytes;
+        let mut last_fill = 0;
+        while remaining > 0 {
+            self.examined[c] += 1;
+            let capped = self.contended(c, w);
+            let n = self.weights.len();
+            let (total, per) = self.windows.entry(w).or_insert_with(|| (0, vec![0; n]));
+            let free = self.capacity - *total;
+            let allowed = if capped {
+                free.min(quota.saturating_sub(per[c]))
+            } else {
+                free
+            };
+            let take = remaining.min(allowed);
+            if take > 0 {
+                *total += take;
+                per[c] += take;
+                remaining -= take;
+                last_fill = *total;
+            }
+            if *total == self.capacity || (capped && per[c] >= quota) {
+                self.close(c, w);
+            }
+            if remaining > 0 {
+                w = self.next_open(c, w + 1);
+            }
+        }
+        let drained = SimTime::from_ps(w * self.window.as_ps())
+            + self.window * (last_fill as f64 / self.capacity as f64);
+        let floor = arrive + SimTime::from_secs(bytes as f64 / self.bw);
+        let done = drained.max(floor);
+        Grant {
+            done,
+            queued: done - floor,
+        }
+    }
+
+    fn mean_fill_frac(&self) -> f64 {
+        if self.windows.is_empty() {
+            return 0.0;
+        }
+        let sum: u64 = self.windows.values().map(|(total, _)| total).sum();
+        sum as f64 / (self.capacity as f64 * self.windows.len() as f64)
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Req {
     client: usize,
@@ -182,6 +293,44 @@ proptest! {
             prop_assert_eq!(arb.mean_fill_frac(), plain.mean_fill_frac());
             // The reference never overbooks (its `capacity - total` would
             // underflow first), so agreement here means `Ok`.
+            prop_assert_eq!(arb.check_conservation(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn one_search_booking_matches_the_two_search_booking(
+        one in stream(1),
+        two in stream(2),
+        three in stream(3),
+        weights in (1u64..5, 1u64..5, 1u64..5),
+        fast in any::<bool>(),
+    ) {
+        let bw = if fast { 80e9 } else { 4e9 };
+        let window = SimTime::from_us(5.0);
+        for (reqs, weights) in [
+            (&one, vec![weights.0]),
+            (&two, vec![weights.0, weights.1]),
+            (&three, vec![weights.0, weights.1, weights.2]),
+        ] {
+            let mut arb = SharedBandwidth::new(bw, window, &weights);
+            let mut old = TwoSearch::new(bw, window, &weights);
+            let mut clock = SimTime::ZERO;
+            for (i, &(client, gap_ns, rewind_ns, bytes)) in reqs.iter().enumerate() {
+                clock += SimTime::from_ns(gap_ns as f64);
+                let at = clock.saturating_sub(SimTime::from_ns(rewind_ns as f64));
+                let (got, want) = (arb.request(client, at, bytes), old.request(client, at, bytes));
+                prop_assert_eq!(
+                    (got.done, got.queued),
+                    (want.done, want.queued),
+                    "request {}: client {} at {}, {} B", i, client, at, bytes
+                );
+                prop_assert_eq!(arb.mean_fill_frac(), old.mean_fill_frac());
+            }
+            for (c, &examined) in old.examined.iter().enumerate() {
+                prop_assert_eq!(arb.client_windows_examined(c), examined);
+                let granted: u64 = old.windows.values().map(|(_, per)| per[c]).sum();
+                prop_assert_eq!(arb.client_bytes(c), granted);
+            }
             prop_assert_eq!(arb.check_conservation(), Ok(()));
         }
     }

@@ -24,7 +24,7 @@ use bionic_sim::energy::Energy;
 use bionic_sim::fpga::{FpgaFabric, FpgaUnit, OutOfArea};
 use bionic_sim::link::Link;
 use bionic_sim::server::FluidQueue;
-use bionic_sim::time::SimTime;
+use bionic_sim::time::{Rate, SimTime};
 
 /// Outcome of one log-insert through a timing model.
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +77,6 @@ impl Default for SwLogParams {
 }
 
 impl SwLogParams {
-    fn copy_time(&self, bytes: u64) -> SimTime {
-        SimTime::from_secs(bytes as f64 / self.copy_bytes_per_sec)
-    }
-
     fn socket_of(&self, agent: usize) -> usize {
         agent / self.cores_per_socket
     }
@@ -94,6 +90,7 @@ impl SwLogParams {
 #[derive(Debug, Clone)]
 pub struct LatchedLog {
     params: SwLogParams,
+    copy: Rate,
     latch: FluidQueue,
     last_socket: Option<usize>,
 }
@@ -103,6 +100,7 @@ impl LatchedLog {
     pub fn new(params: SwLogParams) -> Self {
         LatchedLog {
             params,
+            copy: Rate::per_sec(params.copy_bytes_per_sec),
             latch: FluidQueue::latch(),
             last_socket: None,
         }
@@ -122,7 +120,7 @@ impl LogInsertModel for LatchedLog {
             SimTime::ZERO
         };
         self.last_socket = Some(socket);
-        let service = self.params.latch_overhead + hop + self.params.copy_time(bytes);
+        let service = self.params.latch_overhead + hop + self.copy.time(bytes);
         let wait = self.latch.delay(arrive, service);
         InsertTiming {
             buffered_at: arrive + wait + service,
@@ -145,6 +143,7 @@ impl LogInsertModel for LatchedLog {
 #[derive(Debug, Clone)]
 pub struct ConsolidatedLog {
     params: SwLogParams,
+    copy: Rate,
     buffer: FluidQueue,
     last_socket: Option<usize>,
     groups: f64,
@@ -156,6 +155,7 @@ impl ConsolidatedLog {
     pub fn new(params: SwLogParams) -> Self {
         ConsolidatedLog {
             params,
+            copy: Rate::per_sec(params.copy_bytes_per_sec),
             buffer: FluidQueue::latch(),
             last_socket: None,
             groups: 0.0,
@@ -176,7 +176,7 @@ impl LogInsertModel for ConsolidatedLog {
 
     fn insert(&mut self, arrive: SimTime, agent: usize, bytes: u64) -> InsertTiming {
         let socket = self.params.socket_of(agent);
-        let copy = self.params.copy_time(bytes);
+        let copy = self.copy.time(bytes);
         // Leader probability: an idle buffer makes every arrival a leader;
         // a saturated one absorbs almost everyone into in-flight groups.
         let leader_p = (1.0 - self.buffer.utilization(arrive)).clamp(0.02, 1.0);
