@@ -128,6 +128,10 @@ impl Link {
     }
 }
 
+/// Endpoints are node indices below this bound, which caps the dense link
+/// table at `MAX_ENDPOINTS²` slots (about 25 MB).
+const MAX_ENDPOINTS: usize = 1024;
+
 /// Directed links in a dense `side × side` table, row `from`, column `to`,
 /// grown to cover the largest endpoint seen; a link is created and seeded
 /// on its first message.
@@ -142,6 +146,10 @@ impl Links {
         let (f, t) = (from as usize, to as usize);
         if f.max(t) >= self.side {
             let side = f.max(t) + 1;
+            assert!(
+                side <= MAX_ENDPOINTS,
+                "link {from} -> {to}: endpoints are node indices below {MAX_ENDPOINTS}"
+            );
             let mut table: Vec<Option<Link>> = (0..side * side).map(|_| None).collect();
             for (i, link) in self.table.drain(..).enumerate() {
                 table[i / self.side * side + i % self.side] = link;
@@ -162,7 +170,7 @@ struct Chances {
 
 /// The interconnect: per-directed-link state lazily created on first use,
 /// each link seeded independently of every other. Endpoints are node
-/// indices: the link table is dense, quadratic in the largest one.
+/// indices below 1024: the link table is dense, quadratic in the largest.
 pub struct Network {
     cfg: NetConfig,
     chances: Chances,
@@ -198,6 +206,8 @@ impl Network {
     /// Fixed draw order — partition gate, drop, duplicate, delay, jitter —
     /// with every draw skipped while its knob is zero, so the healthy
     /// configuration never touches the link's RNG.
+    ///
+    /// Panics if `from` or `to` is 1024 or more.
     pub fn send(&mut self, from: u32, to: u32, now: SimTime) -> Delivery {
         self.stats.sent += 1;
         let (cfg, chances, stats) = (&self.cfg, &self.chances, &mut self.stats);
@@ -306,6 +316,23 @@ mod tests {
                 .collect()
         };
         assert_eq!(solo, interleaved);
+    }
+
+    #[test]
+    fn the_highest_endpoint_is_accepted() {
+        let mut net = Network::new(NetConfig::healthy(3));
+        let last = MAX_ENDPOINTS as u32 - 1;
+        assert!(matches!(
+            net.send(last, 0, SimTime::ZERO),
+            Delivery::Delivered { .. }
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoints are node indices below 1024")]
+    fn an_endpoint_past_the_bound_panics() {
+        let mut net = Network::new(NetConfig::healthy(3));
+        let _ = net.send(0, MAX_ENDPOINTS as u32, SimTime::ZERO);
     }
 
     #[test]

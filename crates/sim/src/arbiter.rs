@@ -251,6 +251,7 @@ impl SharedBandwidth {
             // frontier — no window past `w`, the common case for arrivals in
             // time order — the walk starts at the map's last entry and
             // searches no key at all; otherwise it costs one search for `w`.
+            // DESIGN.md "Why the walk has two starts" has the measurements.
             let at_frontier = self
                 .windows
                 .last_key_value()

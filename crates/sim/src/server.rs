@@ -201,12 +201,7 @@ impl PipelinedUnit {
         }
         let done = issue + self.latency;
         self.inflight[self.head] = done;
-        // Wrap without a division: this runs once per modeled FPGA op.
-        self.head = if self.head + 1 == self.depth {
-            0
-        } else {
-            self.head + 1
-        };
+        self.head = (self.head + 1) % self.depth;
         self.last_issue = issue;
         self.issued += 1;
         done
