@@ -23,6 +23,28 @@ pub trait TreeKey: Ord + Clone {
 
     /// Cost of one comparison against another key, in word operations.
     fn compare_cost(&self) -> u32;
+
+    /// Where `k` would sit among `n ≥ 1` strictly increasing keys running
+    /// from `first` to `last`, read off a straight line between the two:
+    /// an index below `n` that the node search starts from. `None` means
+    /// the type has no such line and the search bisects.
+    ///
+    /// Only a hint: any index below `n` gives the same search result, a
+    /// good one just gets there in fewer comparisons.
+    #[inline]
+    fn guess(first: &Self, last: &Self, k: &Self, n: usize) -> Option<usize> {
+        let _ = (first, last, k, n);
+        None
+    }
+}
+
+/// The interpolated slot of `off` on a line of `n` slots spanning `span`
+/// (`0 < off < span` as unsigned distances): `f64`, because a 128-bit
+/// division compiles to a library call that costs more than the search
+/// it saves.
+#[inline]
+fn interpolate(off: u64, span: u64, n: usize) -> usize {
+    ((off as f64 / span as f64 * (n - 1) as f64) as usize).min(n - 1)
 }
 
 impl TreeKey for i64 {
@@ -35,6 +57,21 @@ impl TreeKey for i64 {
     fn compare_cost(&self) -> u32 {
         1
     }
+
+    #[inline]
+    fn guess(first: &i64, last: &i64, k: &i64, n: usize) -> Option<usize> {
+        Some(if k <= first {
+            0
+        } else if k >= last {
+            n - 1
+        } else {
+            // Distances as `u64` cannot overflow, even from `i64::MIN` to
+            // `i64::MAX`.
+            let off = (*k as u64).wrapping_sub(*first as u64);
+            let span = (*last as u64).wrapping_sub(*first as u64);
+            interpolate(off, span, n)
+        })
+    }
 }
 
 impl TreeKey for u64 {
@@ -46,6 +83,17 @@ impl TreeKey for u64 {
 
     fn compare_cost(&self) -> u32 {
         1
+    }
+
+    #[inline]
+    fn guess(first: &u64, last: &u64, k: &u64, n: usize) -> Option<usize> {
+        Some(if k <= first {
+            0
+        } else if k >= last {
+            n - 1
+        } else {
+            interpolate(k - first, last - first, n)
+        })
     }
 }
 
@@ -77,6 +125,8 @@ impl From<&[u8]> for StrKey {
     }
 }
 
+/// No [`TreeKey::guess`]: byte strings have no cheap straight line, so
+/// string nodes keep the plain binary search.
 impl TreeKey for StrKey {
     fn encoded_len(&self) -> usize {
         // 2-byte length prefix plus payload.

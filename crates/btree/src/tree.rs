@@ -118,6 +118,69 @@ fn bsearch_steps(n: usize) -> u32 {
     (usize::BITS - n.leading_zeros()).max(1)
 }
 
+/// `keys.binary_search(k)` for strictly increasing `keys`, started from
+/// [`TreeKey::guess`]: read the guessed slot, gallop away from it (1, 2,
+/// 4, … slots) until `k` is bracketed, then bisect inside the bracket. On
+/// the near-linear packed integer keys of the table indexes the guess
+/// usually is the slot, so a probe costs one or two comparisons instead
+/// of ⌈log₂ n⌉ dependent ones; a bad guess still costs O(log n). Keys
+/// without a guess bisect the whole node.
+#[inline]
+fn position<K: TreeKey>(keys: &[K], k: &K) -> Result<usize, usize> {
+    let found = match (keys.first(), keys.last()) {
+        (Some(first), Some(last)) => match K::guess(first, last, k, keys.len()) {
+            Some(g) => gallop(keys, k, g),
+            None => keys.binary_search(k),
+        },
+        _ => Err(0),
+    };
+    debug_assert_eq!(found, keys.binary_search(k));
+    found
+}
+
+/// [`position`] from slot `g < keys.len()`.
+#[inline]
+fn gallop<K: Ord>(keys: &[K], k: &K, g: usize) -> Result<usize, usize> {
+    use std::cmp::Ordering;
+    // `lo..hi` is the bracket: everything before `lo` is below `k`,
+    // everything from `hi` on is above it.
+    let (lo, hi) = match keys[g].cmp(k) {
+        Ordering::Equal => return Ok(g),
+        Ordering::Less => {
+            let (mut lo, mut step) = (g + 1, 1);
+            loop {
+                let probe = g + step;
+                if probe >= keys.len() {
+                    break (lo, keys.len());
+                }
+                if keys[probe] >= *k {
+                    break (lo, probe + 1);
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        }
+        Ordering::Greater => {
+            let (mut hi, mut step) = (g, 1);
+            loop {
+                if step > g {
+                    break (0, hi);
+                }
+                let probe = g - step;
+                if keys[probe] <= *k {
+                    break (probe, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        }
+    };
+    match keys[lo..hi].binary_search(k) {
+        Ok(i) => Ok(lo + i),
+        Err(i) => Err(lo + i),
+    }
+}
+
 impl<K: TreeKey> BTree<K> {
     /// Create an empty tree. `order` is the maximum keys per node (≥ 4).
     /// §5.3 motivates large orders ("branching factors of several hundred to
@@ -224,7 +287,10 @@ impl<K: TreeKey> BTree<K> {
 
     /// Index of the child to descend into: equal keys go right.
     fn locate_child(keys: &[K], k: &K) -> usize {
-        keys.partition_point(|x| x <= k)
+        match position(keys, k) {
+            Ok(i) => i + 1,
+            Err(i) => i,
+        }
     }
 
     fn compare_cost_of(keys: &[K], k: &K) -> u32 {
@@ -267,7 +333,7 @@ impl<K: TreeKey> BTree<K> {
         };
         fp.leaves_visited += 1;
         fp.comparisons += Self::compare_cost_of(keys, k);
-        keys.binary_search(k).ok().map(|i| vals[i])
+        position(keys, k).ok().map(|i| vals[i])
     }
 
     /// Point lookup.
@@ -328,7 +394,7 @@ impl<K: TreeKey> BTree<K> {
                     let Node::Leaf { keys, vals, .. } = &mut self.nodes[id as usize] else {
                         unreachable!()
                     };
-                    let old = match keys.binary_search(&k) {
+                    let old = match position(keys, &k) {
                         Ok(i) => Some(std::mem::replace(&mut vals[i], v)),
                         Err(i) => {
                             keys.insert(i, k);
@@ -456,7 +522,7 @@ impl<K: TreeKey> BTree<K> {
                 let Node::Leaf { keys, vals, .. } = &mut self.nodes[id as usize] else {
                     unreachable!()
                 };
-                match keys.binary_search(k) {
+                match position(keys, k) {
                     Ok(i) => {
                         keys.remove(i);
                         let v = vals.remove(i);
@@ -750,7 +816,7 @@ impl<K: TreeKey> BTree<K> {
                         continue;
                     }
                     fp.comparisons += Self::compare_cost_of(lk, k);
-                    out.push((k.clone(), lk.binary_search(k).ok().map(|i| vals[i])));
+                    out.push((k.clone(), position(lk, k).ok().map(|i| vals[i])));
                 }
             }
             Node::Inner { keys: ik, children } => {
@@ -792,7 +858,7 @@ impl<K: TreeKey> BTree<K> {
                 unreachable!()
             };
             fp.leaves_visited += 1;
-            let start = keys.partition_point(|x| x < lo);
+            let start = position(keys, lo).unwrap_or_else(|i| i);
             fp.comparisons += Self::compare_cost_of(keys, lo);
             for i in start..keys.len() {
                 if &keys[i] >= hi {
@@ -1110,6 +1176,113 @@ impl<K: TreeKey> Default for BTree<K> {
 mod tests {
     use super::*;
     use crate::key::StrKey;
+
+    /// `position` against `binary_search` on one node: every key, both
+    /// neighbours of every key, the middle of every gap and both ends of
+    /// the key type, from every guess the key type could make.
+    fn check_position<K: TreeKey + std::fmt::Debug>(keys: &[K], probes: &[K]) {
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:?}");
+        for p in probes.iter().chain(keys) {
+            let want = keys.binary_search(p);
+            assert_eq!(position(keys, p), want, "keys {keys:?} probe {p:?}");
+            for g in 0..keys.len() {
+                assert_eq!(
+                    gallop(keys, p, g),
+                    want,
+                    "keys {keys:?} probe {p:?} from {g}"
+                );
+            }
+        }
+    }
+
+    fn int_probes(keys: &[i64]) -> Vec<i64> {
+        let mut probes = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        for &k in keys {
+            probes.extend([k.saturating_sub(1), k.saturating_add(1)]);
+        }
+        for w in keys.windows(2) {
+            probes.push(w[0] / 2 + w[1] / 2);
+        }
+        probes
+    }
+
+    fn check_int_node(keys: &[i64]) {
+        check_position(keys, &int_probes(keys));
+        let unsigned: Vec<u64> = keys.iter().map(|&k| (k as u64) ^ (1 << 63)).collect();
+        let probes: Vec<u64> = int_probes(keys)
+            .iter()
+            .map(|&k| (k as u64) ^ (1 << 63))
+            .collect();
+        check_position(&unsigned, &probes);
+    }
+
+    #[test]
+    fn position_is_binary_search() {
+        let clustered: Vec<i64> = (1_000..1_256).collect();
+        // Mixed-radix packed keys, as the TPC-C and TATP indexes build them.
+        let packed: Vec<i64> = (0..4i64)
+            .flat_map(|w| (0..10).flat_map(move |d| (0..6).map(move |c| (w * 10 + d) * 3_000 + c)))
+            .collect();
+        let geometric: Vec<i64> = (0..63).map(|b| 1i64 << b).collect();
+        let huge_gaps = [i64::MIN, -(1 << 40), -7, 0, 3, 1 << 40, i64::MAX];
+        let near_min: Vec<i64> = (0..9).map(|i| i64::MIN + i * i).collect();
+        let near_max: Vec<i64> = (0..9).rev().map(|i| i64::MAX - i * i).collect();
+        let ends = [i64::MIN, i64::MAX];
+        for keys in [
+            &[][..],
+            &[0],
+            &[i64::MIN],
+            &[i64::MAX],
+            &ends,
+            &clustered,
+            &packed,
+            &geometric,
+            &huge_gaps,
+            &near_min,
+            &near_max,
+        ] {
+            check_int_node(keys);
+        }
+        // No guess: string keys bisect.
+        let words: Vec<StrKey> = ["", "a", "ab", "b", "ba", "zz"].map(StrKey::from).to_vec();
+        let probes: Vec<StrKey> = ["", "0", "aa", "abc", "c", "zzz"]
+            .map(StrKey::from)
+            .to_vec();
+        check_position(&words, &probes);
+    }
+
+    #[test]
+    fn guesses_stay_in_the_node() {
+        for n in [1usize, 2, 3, 255, 256] {
+            for (first, last) in [(0i64, n as i64 - 1), (i64::MIN, i64::MAX), (-5, 1 << 50)] {
+                if n > 1 && first == last {
+                    continue;
+                }
+                for k in [
+                    i64::MIN,
+                    first,
+                    first / 2 + last / 2,
+                    last - 1,
+                    last,
+                    i64::MAX,
+                ] {
+                    let g = i64::guess(&first, &last, &k, n).unwrap();
+                    assert!(g < n, "n {n} first {first} last {last} k {k}: {g}");
+                }
+            }
+            let g = u64::guess(&0, &u64::MAX, &(u64::MAX - 1), n).unwrap();
+            assert!(g < n, "n {n}: {g}");
+        }
+        // On an arithmetic progression the guess is the slot itself.
+        let keys: Vec<i64> = (0..256).map(|i| 40 + 7 * i).collect();
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(i64::guess(&keys[0], &keys[255], k, 256), Some(i));
+        }
+        assert_eq!(
+            StrKey::guess(&"a".into(), &"b".into(), &"ab".into(), 2),
+            None
+        );
+    }
 
     #[test]
     fn empty_tree_lookups() {

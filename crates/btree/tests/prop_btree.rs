@@ -93,6 +93,32 @@ fn churned_tree<K: TreeKey>(
     (tree, model, smo)
 }
 
+/// One `i64` key from a raw draw, shaped like one of the distributions
+/// the interpolated node search must survive: 0 a dense run, 1 the
+/// mixed-radix packing of the table indexes, 2 keys strewn over the whole
+/// type, 3 and 4 runs pressed against `i64::MIN` and `i64::MAX`. `dist` 5
+/// lets each key pick its own shape, so nodes mix huge gaps with runs.
+fn shaped_key(dist: u8, (pick, raw): (u8, u64)) -> i64 {
+    match if dist == 5 { pick % 5 } else { dist } {
+        0 => (raw % 3_000) as i64,
+        1 => {
+            let (w, d, c) = (
+                (raw % 8) as i64,
+                (raw / 8 % 10) as i64,
+                (raw / 80 % 40) as i64,
+            );
+            (w * 10 + d) * 3_000 + c
+        }
+        2 => raw as i64,
+        3 => i64::MIN + (raw % 600) as i64,
+        _ => i64::MAX - (raw % 600) as i64,
+    }
+}
+
+fn raw_keys(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(u8, u64)>> {
+    prop::collection::vec((any::<u8>(), any::<u64>()), len)
+}
+
 fn order_strategy() -> impl Strategy<Value = usize> {
     // Small orders make deep trees; the default 256 needs hundreds of keys
     // before its root splits at all.
@@ -159,6 +185,46 @@ proptest! {
         tree.scan_all(|k, v| scanned.push((*k, v)));
         let expected: Vec<(i64, u64)> = model.into_iter().collect();
         prop_assert_eq!(scanned, expected);
+    }
+
+    #[test]
+    fn skewed_key_shapes_match_model(
+        order in order_strategy(),
+        dist in 0u8..6,
+        grow in raw_keys(0..1200),
+        thin in raw_keys(0..400),
+        probes in raw_keys(1..64),
+    ) {
+        let key = |r: &(u8, u64)| shaped_key(dist, *r);
+        let mut tree = BTree::with_order(order);
+        let mut model: BTreeMap<i64, u64> = BTreeMap::new();
+        for (i, k) in grow.iter().map(key).enumerate() {
+            prop_assert_eq!(tree.insert(k, i as u64).0, model.insert(k, i as u64));
+        }
+        // Every other grown key is present; the drawn ones mostly are not.
+        let gone: Vec<i64> = grow.iter().step_by(2).chain(&thin).map(key).collect();
+        for k in &gone {
+            prop_assert_eq!(tree.remove(k).0, model.remove(k), "remove {}", k);
+        }
+        tree.check_invariants().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(tree.len(), model.len());
+        let mut probe_keys: Vec<i64> = probes.iter().map(key).collect();
+        probe_keys.extend(model.keys().step_by(7).copied());
+        probe_keys.extend(gone.iter().take(32));
+        probe_keys.extend([i64::MIN, i64::MAX, 0]);
+        for k in &probe_keys {
+            prop_assert_eq!(tree.get(k).0, model.get(k).copied(), "get {}", k);
+        }
+        for (k, v) in tree.batch_get(&mut probe_keys.clone()).0 {
+            prop_assert_eq!(v, model.get(&k).copied(), "batch_get {}", k);
+        }
+        for w in probe_keys.windows(2) {
+            let (lo, hi) = (w[0].min(w[1]), w[0].max(w[1]));
+            let mut got = Vec::new();
+            tree.range(&lo, &hi, |k, v| got.push((*k, v)));
+            let want: Vec<(i64, u64)> = model.range(lo..hi).map(|(&k, &v)| (k, v)).collect();
+            prop_assert_eq!(got, want, "range {}..{}", lo, hi);
+        }
     }
 
     #[test]

@@ -263,7 +263,6 @@ pub struct Cluster {
     /// coord)`. Resolved before the node's next transaction or at end of
     /// run.
     unresolved: Vec<(usize, u64, u32)>,
-    prepared_at: BTreeMap<(usize, u64), SimTime>,
     commit_latencies_ps: Vec<u64>,
     in_doubt_delays_ps: Vec<u64>,
     global_committed: u64,
@@ -293,7 +292,6 @@ impl Cluster {
             next_gtxn: 0,
             armed_crash: None,
             unresolved: Vec::new(),
-            prepared_at: BTreeMap::new(),
             commit_latencies_ps: Vec::new(),
             in_doubt_delays_ps: Vec::new(),
             global_committed: 0,
@@ -451,7 +449,7 @@ impl Cluster {
             self.nodes[coord].deliver_prepare(gtxn, coord as u32, &branches[0].2, t);
         match reply {
             PrepareReply::Yes => {
-                self.prepared_at.insert((coord, gtxn), done);
+                self.nodes[coord].seen.record_vote(gtxn, done);
                 t = done;
             }
             PrepareReply::No | PrepareReply::Stale => {
@@ -482,7 +480,7 @@ impl Cluster {
                 match self.prepare_remote(coord, *rn, gtxn, prog, &mut t) {
                     Some(RemoteVote::Yes) => {
                         contacted.push(*rn);
-                        self.prepared_at.insert((*rn, gtxn), t);
+                        self.nodes[*rn].seen.record_vote(gtxn, t);
                     }
                     Some(RemoteVote::No) => {
                         all_yes = false;
@@ -675,13 +673,11 @@ impl Cluster {
                     self.recover_node(n, at);
                 }
                 _ => {
-                    self.nodes[n]
-                        .seen
-                        .insert(gtxn, BranchState::Finished(commit));
-                    if let Some(p) = self.prepared_at.remove(&(n, gtxn)) {
-                        if late {
-                            self.in_doubt_delays_ps.push(at.saturating_sub(p).as_ps());
-                        }
+                    let seen = &mut self.nodes[n].seen;
+                    let voted_at = seen.take_vote(gtxn);
+                    seen.insert(gtxn, BranchState::Finished(commit));
+                    if let (Some(p), true) = (voted_at, late) {
+                        self.in_doubt_delays_ps.push(at.saturating_sub(p).as_ps());
                     }
                 }
             }
@@ -783,7 +779,7 @@ impl Cluster {
             // Doubt resolved at recovery: account its prepare→resolution
             // delay against the tail metric.
             let _ = txn;
-            if let Some(p) = self.prepared_at.remove(&(n, *gtxn)) {
+            if let Some(p) = self.nodes[n].seen.take_vote(*gtxn) {
                 self.in_doubt_delays_ps
                     .push(recovered_at.saturating_sub(p).as_ps());
             }
@@ -791,9 +787,8 @@ impl Cluster {
         // Branches whose decisions were parked for this node are settled
         // by the recovery itself.
         self.unresolved.retain(|u| u.0 != n);
-        // Any prepared_at bookkeeping left for this node is for branches
-        // the crash rolled up (e.g. unflushed prepares): drop it.
-        self.prepared_at.retain(|(bn, _), _| *bn != n);
+        // Vote times left in the old table are for branches the crash
+        // rolled up (e.g. unflushed prepares): they go with it.
         self.nodes[n].engine = engine;
         self.nodes[n].seen = seen;
         self.nodes[n].decisions = own_decisions;

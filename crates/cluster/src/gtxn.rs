@@ -9,6 +9,7 @@
 //! at its start. The atomicity oracle keeps its own maps and never reads
 //! these.
 
+use bionic_sim::time::SimTime;
 use bionic_wal::TxnId;
 
 use crate::cluster::GTXN_BASE;
@@ -77,8 +78,20 @@ const _: () = assert!(std::mem::size_of::<Option<Seen>>() == 1);
 #[derive(Debug, Default)]
 pub(crate) struct SeenTable {
     state: GtxnMap<Seen>,
-    /// `(gtxn, local txn, coordinator)` of every `Prepared` slot.
-    prepared: Vec<(u64, TxnId, u32)>,
+    /// Every `Prepared` slot's payload, ascending by gtxn.
+    prepared: Vec<Payload>,
+}
+
+/// What a prepared branch carries.
+#[derive(Debug, Clone, Copy)]
+struct Payload {
+    gtxn: u64,
+    txn: TxnId,
+    coord: u32,
+    /// When the coordinator counted this branch's YES vote
+    /// ([`SeenTable::record_vote`]), until [`SeenTable::take_vote`]; the
+    /// start of its in-doubt window. `None` while the vote is unheard.
+    voted_at: Option<SimTime>,
 }
 
 impl SeenTable {
@@ -88,8 +101,8 @@ impl SeenTable {
                 let i = self
                     .find(gtxn)
                     .expect("a prepared slot has a payload entry");
-                let (_, txn, coord) = self.prepared[i];
-                BranchState::Prepared(txn, coord)
+                let p = self.prepared[i];
+                BranchState::Prepared(p.txn, p.coord)
             }
             Seen::Refused => BranchState::Refused,
             Seen::Finished(c) => BranchState::Finished(c),
@@ -100,9 +113,15 @@ impl SeenTable {
         let found = self.find(gtxn);
         let seen = match s {
             BranchState::Prepared(txn, coord) => {
+                let p = Payload {
+                    gtxn,
+                    txn,
+                    coord,
+                    voted_at: None,
+                };
                 match found {
-                    Ok(i) => self.prepared[i] = (gtxn, txn, coord),
-                    Err(i) => self.prepared.insert(i, (gtxn, txn, coord)),
+                    Ok(i) => self.prepared[i] = p,
+                    Err(i) => self.prepared.insert(i, p),
                 }
                 Seen::Prepared
             }
@@ -117,11 +136,31 @@ impl SeenTable {
 
     /// `(gtxn, coordinator)` of every prepared branch, ascending by gtxn.
     pub(crate) fn prepared(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.prepared.iter().map(|&(g, _, coord)| (g, coord))
+        self.prepared.iter().map(|p| (p.gtxn, p.coord))
+    }
+
+    /// The coordinator counted prepared branch `gtxn`'s YES vote at `at`.
+    ///
+    /// # Panics
+    /// If `gtxn` is not prepared here: a YES vote comes only from a
+    /// prepared branch, and nothing ends one between the vote and its
+    /// counting.
+    pub(crate) fn record_vote(&mut self, gtxn: u64, at: SimTime) {
+        let i = self
+            .find(gtxn)
+            .expect("a YES vote comes from a prepared branch");
+        self.prepared[i].voted_at = Some(at);
+    }
+
+    /// Take the vote time [`SeenTable::record_vote`] left on `gtxn`, if it
+    /// is still prepared and has one.
+    pub(crate) fn take_vote(&mut self, gtxn: u64) -> Option<SimTime> {
+        let i = self.find(gtxn).ok()?;
+        self.prepared[i].voted_at.take()
     }
 
     fn find(&self, gtxn: u64) -> Result<usize, usize> {
-        self.prepared.binary_search_by_key(&gtxn, |p| p.0)
+        self.prepared.binary_search_by_key(&gtxn, |p| p.gtxn)
     }
 }
 
@@ -145,10 +184,11 @@ mod tests {
     }
 
     /// `(op, seq, txn, coord, flag)`: 0 prepare, 1 refuse, 2 finish,
-    /// 3 resolve-if-prepared, 4 crash and rebuild from the prepares.
+    /// 3 resolve-if-prepared, 4 crash and rebuild from the prepares, 5
+    /// count a prepared branch's vote at time `txn`.
     fn ops() -> impl Strategy<Value = Vec<(u8, u64, u64, u32, bool)>> {
         proptest::collection::vec(
-            (0u8..5, 0u64..SEQS, 0u64..1_000, 0u32..8, any::<bool>()),
+            (0u8..6, 0u64..SEQS, 0u64..1_000, 0u32..8, any::<bool>()),
             0..200,
         )
     }
@@ -190,6 +230,9 @@ mod tests {
         fn seen_table_matches_a_btreemap(ops in ops()) {
             let mut t = SeenTable::default();
             let mut r: BTreeMap<u64, BranchState> = BTreeMap::new();
+            // Vote times, keyed the way the cluster kept them before they
+            // moved into the table.
+            let mut votes: BTreeMap<u64, SimTime> = BTreeMap::new();
             // Every branch ever prepared, in log order, as recovery finds
             // them: `(local txn, gtxn)`.
             let mut prepares: Vec<(TxnId, u64)> = Vec::new();
@@ -199,23 +242,33 @@ mod tests {
                     0 => {
                         t.insert(g, BranchState::Prepared(txn, coord));
                         r.insert(g, BranchState::Prepared(txn, coord));
+                        votes.remove(&g);
                         prepares.push((txn, g));
                     }
                     1 => {
                         t.insert(g, BranchState::Refused);
                         r.insert(g, BranchState::Refused);
+                        votes.remove(&g);
                     }
                     2 => {
+                        prop_assert_eq!(t.take_vote(g), votes.remove(&g));
                         t.insert(g, BranchState::Finished(flag));
                         r.insert(g, BranchState::Finished(flag));
                     }
                     3 => {
                         // The decision path: only a prepared branch moves.
                         if let Some(BranchState::Prepared(..)) = t.get(g) {
+                            prop_assert_eq!(t.take_vote(g), votes.remove(&g));
                             t.insert(g, BranchState::Finished(flag));
                         }
                         if let Some(BranchState::Prepared(..)) = r.get(&g) {
                             r.insert(g, BranchState::Finished(flag));
+                        }
+                    }
+                    5 => {
+                        if let Some(BranchState::Prepared(..)) = r.get(&g) {
+                            t.record_vote(g, SimTime::from_ps(txn));
+                            votes.insert(g, SimTime::from_ps(txn));
                         }
                     }
                     _ => {
@@ -223,6 +276,7 @@ mod tests {
                         // committed iff its local txn won.
                         t = SeenTable::default();
                         r.clear();
+                        votes.clear();
                         for &(txn, g) in &prepares {
                             t.insert(g, BranchState::Finished(txn % 2 == 0));
                             r.insert(g, BranchState::Finished(txn % 2 == 0));

@@ -224,10 +224,11 @@ pub struct Engine {
     /// back (constructed with the same parameters as the `Latched` path,
     /// so fallback pricing matches the software baseline).
     pub(crate) log_fallback: LatchedLog,
-    /// Branches prepared under two-phase commit, keyed by local txn id,
+    /// Branches prepared under two-phase commit, sorted by local txn id,
     /// awaiting the coordinator's decision (see
-    /// [`Engine::submit_prepared`] / [`Engine::resolve_prepared`]).
-    pub(crate) prepared: std::collections::BTreeMap<TxnId, crate::exec::PreparedTxn>,
+    /// [`Engine::submit_prepared`] / [`Engine::resolve_prepared`]). A
+    /// handful at a time, and ids grow, so a prepare is usually a push.
+    pub(crate) prepared: Vec<(TxnId, crate::exec::PreparedTxn)>,
     /// Reusable hot-path buffers (see [`crate::exec::ExecScratch`]).
     pub(crate) scratch: crate::exec::ExecScratch,
     /// Per-transaction critical-path accumulator (reset at each submit;
@@ -313,7 +314,7 @@ impl Engine {
                 .clone()
                 .map(crate::placement::PlacementController::new),
             log_fallback: LatchedLog::new(sw_log_params),
-            prepared: std::collections::BTreeMap::new(),
+            prepared: Vec::new(),
             scratch: crate::exec::ExecScratch::default(),
             path_acc: bionic_telemetry::TxnPathAcc::default(),
             attrib: None,

@@ -1502,10 +1502,10 @@ impl Engine {
         if self.fuse_blown() {
             return TxnOutcome::Interrupted;
         }
-        let mut p = self
-            .prepared
-            .remove(&txn)
-            .unwrap_or_else(|| panic!("resolve of unknown prepared txn {txn}"));
+        let mut p = match self.prepared.binary_search_by_key(&txn, |p| p.0) {
+            Ok(i) => self.prepared.remove(i).1,
+            Err(_) => panic!("resolve of unknown prepared txn {txn}"),
+        };
         self.tel.set_txn(txn);
         let outcome = if commit {
             let cpu = self.commit_cpu(p.locks_taken);
@@ -1544,7 +1544,7 @@ impl Engine {
 
     /// Local transaction ids of branches currently held prepared.
     pub fn prepared_branches(&self) -> Vec<TxnId> {
-        self.prepared.keys().copied().collect()
+        self.prepared.iter().map(|p| p.0).collect()
     }
 
     /// Durably record a coordinator-side commit decision for global
@@ -1730,15 +1730,16 @@ impl Engine {
                     for t in &written_tables {
                         self.result_cache.bump_table(*t);
                     }
-                    self.prepared.insert(
-                        txn,
-                        PreparedTxn {
-                            undo: std::mem::take(&mut cx.undo),
-                            agent,
-                            locks_taken,
-                            wrote: cx.wrote,
-                        },
-                    );
+                    let branch = PreparedTxn {
+                        undo: std::mem::take(&mut cx.undo),
+                        agent,
+                        locks_taken,
+                        wrote: cx.wrote,
+                    };
+                    match self.prepared.binary_search_by_key(&txn, |p| p.0) {
+                        Ok(i) => self.prepared[i].1 = branch,
+                        Err(i) => self.prepared.insert(i, (txn, branch)),
+                    }
                     self.stats.last_completion = self.stats.last_completion.max(done);
                     SubmitResult::Prepared {
                         txn,

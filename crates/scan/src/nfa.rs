@@ -115,9 +115,17 @@ pub struct Nfa {
 
 // ---- parser: recursive descent over alt -> concat -> repeat -> atom ----
 
+/// Deepest group nesting [`Nfa::compile`] accepts. The parser recurses
+/// once per `(`, so without a bound a hostile pattern of a thousand
+/// nested groups overflows a 2 MB thread stack; no real scan predicate
+/// comes near this.
+pub const MAX_GROUP_DEPTH: usize = 64;
+
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Groups open at `pos`.
+    depth: usize,
     /// (start, accept) fragments are built directly into `edges`.
     edges: Vec<Vec<Edge>>,
 }
@@ -224,12 +232,17 @@ impl<'a> Parser<'a> {
         let c = self.peek().ok_or_else(|| self.err("unexpected end"))?;
         match c {
             b'(' => {
+                if self.depth == MAX_GROUP_DEPTH {
+                    return Err(self.err("groups nested too deeply"));
+                }
                 self.pos += 1;
+                self.depth += 1;
                 let inner = self.alt()?;
                 if self.peek() != Some(b')') {
                     return Err(self.err("unclosed group"));
                 }
                 self.pos += 1;
+                self.depth -= 1;
                 Ok(inner)
             }
             b'[' => {
@@ -289,11 +302,13 @@ impl<'a> Parser<'a> {
 }
 
 impl Nfa {
-    /// Compile a pattern.
+    /// Compile a pattern. Groups nested deeper than [`MAX_GROUP_DEPTH`]
+    /// are a [`ParseError`].
     pub fn compile(pattern: &str) -> Result<Nfa, ParseError> {
         let mut p = Parser {
             b: pattern.as_bytes(),
             pos: 0,
+            depth: 0,
             edges: Vec::new(),
         };
         let (start, accept) = p.alt()?;
@@ -495,6 +510,34 @@ mod tests {
         assert!(Nfa::compile("[z-a]").is_err());
         let e = Nfa::compile("ab)").unwrap_err();
         assert_eq!(e.at, 2);
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let nested = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
+        let nfa = Nfa::compile(&nested(MAX_GROUP_DEPTH)).expect("at the bound");
+        assert!(nfa.is_match(b"xa"));
+        let e = Nfa::compile(&nested(MAX_GROUP_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            (e.at, e.what),
+            (MAX_GROUP_DEPTH, "groups nested too deeply")
+        );
+        // Ten thousand levels, open or closed, on a small thread stack.
+        let deep = std::thread::Builder::new()
+            .stack_size(1 << 20)
+            .spawn(move || {
+                let closed = Nfa::compile(&nested(10_000)).map(|_| ());
+                let open = Nfa::compile(&"(".repeat(10_000)).map(|_| ());
+                (closed, open)
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        assert_eq!(deep.0.unwrap_err().at, MAX_GROUP_DEPTH);
+        assert_eq!(deep.1.unwrap_err().at, MAX_GROUP_DEPTH);
+        // Siblings do not nest: depth is what is open, not what was seen.
+        let wide = "(a)".repeat(MAX_GROUP_DEPTH * 4);
+        assert!(Nfa::compile(&wide).is_ok());
     }
 
     #[test]
