@@ -37,18 +37,13 @@ pub trait TreeKey: Ord + Clone {
     }
 }
 
-/// [`TreeKey::guess`] for `u64`, clamped to `0..n`. The line is drawn in
-/// `f64`: a 128-bit division compiles to a library call that costs more
-/// than the search it saves.
+/// The interpolated slot of `off` on a line of `n` slots spanning `span`
+/// (`0 < off < span` as unsigned distances): `f64`, because a 128-bit
+/// division compiles to a library call that costs more than the search
+/// it saves.
 #[inline]
-fn interpolate(first: u64, last: u64, k: u64, n: usize) -> usize {
-    if k <= first {
-        0
-    } else if k >= last {
-        n - 1
-    } else {
-        (((k - first) as f64 / (last - first) as f64 * (n - 1) as f64) as usize).min(n - 1)
-    }
+fn interpolate(off: u64, span: u64, n: usize) -> usize {
+    ((off as f64 / span as f64 * (n - 1) as f64) as usize).min(n - 1)
 }
 
 impl TreeKey for i64 {
@@ -64,10 +59,17 @@ impl TreeKey for i64 {
 
     #[inline]
     fn guess(first: &i64, last: &i64, k: &i64, n: usize) -> Option<usize> {
-        // Flipping the sign bit maps `i64` order onto `u64` order, so
-        // distances cannot overflow, even from `i64::MIN` to `i64::MAX`.
-        let flip = |x: &i64| (*x as u64) ^ (1 << 63);
-        Some(interpolate(flip(first), flip(last), flip(k), n))
+        Some(if k <= first {
+            0
+        } else if k >= last {
+            n - 1
+        } else {
+            // Distances as `u64` cannot overflow, even from `i64::MIN` to
+            // `i64::MAX`.
+            let off = (*k as u64).wrapping_sub(*first as u64);
+            let span = (*last as u64).wrapping_sub(*first as u64);
+            interpolate(off, span, n)
+        })
     }
 }
 
@@ -84,7 +86,13 @@ impl TreeKey for u64 {
 
     #[inline]
     fn guess(first: &u64, last: &u64, k: &u64, n: usize) -> Option<usize> {
-        Some(interpolate(*first, *last, *k, n))
+        Some(if k <= first {
+            0
+        } else if k >= last {
+            n - 1
+        } else {
+            interpolate(k - first, last - first, n)
+        })
     }
 }
 
