@@ -230,8 +230,8 @@ mod tests {
         fn seen_table_matches_a_btreemap(ops in ops()) {
             let mut t = SeenTable::default();
             let mut r: BTreeMap<u64, BranchState> = BTreeMap::new();
-            // Vote times, keyed the way the cluster kept them before they
-            // moved into the table.
+            // The reference vote times: present while a branch is
+            // prepared and its vote counted.
             let mut votes: BTreeMap<u64, SimTime> = BTreeMap::new();
             // Every branch ever prepared, in log order, as recovery finds
             // them: `(local txn, gtxn)`.
