@@ -231,6 +231,8 @@ pub struct Engine {
     pub(crate) prepared: Vec<(TxnId, crate::exec::PreparedTxn)>,
     /// Reusable hot-path buffers (see [`crate::exec::ExecScratch`]).
     pub(crate) scratch: crate::exec::ExecScratch,
+    /// [`Engine::load`]'s record image, refilled for every loaded row.
+    load_rec: Vec<u8>,
     /// Per-transaction critical-path accumulator (reset at each submit;
     /// charged along the execution path, flushed at commit).
     pub(crate) path_acc: bionic_telemetry::TxnPathAcc,
@@ -316,6 +318,7 @@ impl Engine {
             log_fallback: LatchedLog::new(sw_log_params),
             prepared: Vec::new(),
             scratch: crate::exec::ExecScratch::default(),
+            load_rec: Vec::new(),
             path_acc: bionic_telemetry::TxnPathAcc::default(),
             attrib: None,
             platform: fabric_platform,
@@ -376,12 +379,13 @@ impl Engine {
     /// work is not part of any measured experiment). The record image is
     /// `key || body`.
     pub fn load(&mut self, table: u32, key: i64, body: &[u8]) {
-        let rec = crate::table::make_record(key, body);
+        crate::table::make_record_into(key, body, &mut self.load_rec);
+        let rec = &self.load_rec[..];
         let t = &mut self.tables[table as usize];
-        let (rid, _) = t.heap.insert(&mut self.pool, &rec).expect("load insert");
+        let (rid, _) = t.heap.insert(&mut self.pool, rec).expect("load insert");
         let (old, _) = t.index.insert(key, rid.to_u64());
         assert!(old.is_none(), "duplicate key {key} in load of {}", t.name);
-        if let Some(skey) = t.secondary_key(&rec) {
+        if let Some(skey) = t.secondary_key(rec) {
             let (old, _) = t.secondary.insert(skey, key as u64);
             assert!(
                 old.is_none(),

@@ -48,6 +48,11 @@ struct Frame {
     page: Page,
     dirty: bool,
     referenced: bool,
+    /// Memo: the page holds no tombstoned slot. A pure function of the page
+    /// bytes, cached here (in the frame's padding) for the heap's slot
+    /// choice: false at fault-in, cleared by every [`BufferPool::with_page_mut`],
+    /// and kept only through [`BufferPool::with_page_mut_memo`].
+    no_tombstone: bool,
 }
 
 /// Page-table entry of a page that is not in any frame.
@@ -147,6 +152,7 @@ impl BufferPool {
             page: self.disk.read(id),
             dirty: false,
             referenced: true,
+            no_tombstone: false,
         };
         let mut evicted_dirty = false;
         let idx = if self.frames.len() < self.capacity {
@@ -177,12 +183,29 @@ impl BufferPool {
         (f(&self.frames[idx].page), access)
     }
 
-    /// Write access to a page through a closure; marks the page dirty.
+    /// Write access to a page through a closure; marks the page dirty and
+    /// forgets the frame's no-tombstone memo, since `f` may change anything.
     pub fn with_page_mut<R>(&mut self, id: PageId, f: impl FnOnce(&mut Page) -> R) -> (R, Access) {
+        self.with_page_mut_memo(id, |page, no_tombstone| {
+            *no_tombstone = false;
+            f(page)
+        })
+    }
+
+    /// [`BufferPool::with_page_mut`] that also hands `f` the frame's "this
+    /// page holds no tombstone" memo, to read and to maintain: `f` must
+    /// leave it true only if the page it leaves holds no tombstoned slot
+    /// (what [`crate::slotted::SlottedPage::insert_memo`] does). Same fault,
+    /// footprint, statistics and dirtying as `with_page_mut`.
+    pub fn with_page_mut_memo<R>(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&mut Page, &mut bool) -> R,
+    ) -> (R, Access) {
         let (idx, access) = self.fault_in(id);
         let frame = &mut self.frames[idx];
         frame.dirty = true;
-        (f(&mut frame.page), access)
+        (f(&mut frame.page, &mut frame.no_tombstone), access)
     }
 
     /// The resident image of `id`, or `None` if it is on disk only. A read

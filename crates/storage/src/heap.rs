@@ -79,10 +79,11 @@ impl HeapFile {
         rec: &[u8],
     ) -> Result<(RecordId, HeapFootprint), SlotError> {
         let mut fp = HeapFootprint::default();
+        // The tail page's no-tombstone memo lets an append skip the
+        // directory scan (DESIGN.md "The no-tombstone memo").
         if let Some(&last) = self.pages.last() {
-            let (result, access) = pool.with_page_mut(last, |pg| {
-                let mut sp = SlottedPage::attach(pg);
-                sp.insert(rec)
+            let (result, access) = pool.with_page_mut_memo(last, |pg, no_tombstone| {
+                SlottedPage::attach(pg).insert_memo(rec, no_tombstone)
             });
             fp.absorb(access);
             match result {
@@ -96,9 +97,10 @@ impl HeapFile {
         fp.absorb(access);
         fp.allocated_page = true;
         self.pages.push(pid);
-        let (result, access) = pool.with_page_mut(pid, |pg| {
-            let mut sp = SlottedPage::init(pg);
-            sp.insert(rec)
+        let (result, access) = pool.with_page_mut_memo(pid, |pg, no_tombstone| {
+            // A freshly formatted page has no slots at all.
+            *no_tombstone = true;
+            SlottedPage::init(pg).insert_memo(rec, no_tombstone)
         });
         fp.absorb(access);
         result.map(|slot| (RecordId::new(pid, slot), fp))

@@ -35,6 +35,9 @@ pub enum SlotError {
     NoSuchSlot,
     /// Record too large to ever fit in a page.
     RecordTooLarge,
+    /// The page's header or a directory entry points outside the page, or
+    /// its bodies overlap: the bytes are not a page the writers made.
+    Corrupt,
 }
 
 impl core::fmt::Display for SlotError {
@@ -43,6 +46,7 @@ impl core::fmt::Display for SlotError {
             SlotError::PageFull => write!(f, "page full"),
             SlotError::NoSuchSlot => write!(f, "no such slot"),
             SlotError::RecordTooLarge => write!(f, "record larger than page capacity"),
+            SlotError::Corrupt => write!(f, "corrupt slotted page"),
         }
     }
 }
@@ -151,42 +155,86 @@ impl<'a> SlottedPage<'a> {
         put_u16(self.bm(), off + 2, rec_len);
     }
 
+    /// The header's slot count, free-space start and free-space end, if
+    /// they describe a page the writers made: the directory ends where free
+    /// space starts, and free space lies inside the page. Every writer
+    /// checks this first, so the directory it walks lies inside the page.
+    fn header(&self) -> Result<(u16, usize, usize), SlotError> {
+        let (n, start, end) = (self.slot_count(), self.free_start(), self.free_end());
+        if start == HEADER + n as usize * SLOT_BYTES && start <= end && end <= PAGE_SIZE {
+            Ok((n, start, end))
+        } else {
+            Err(SlotError::Corrupt)
+        }
+    }
+
+    /// Slot `i`'s live `(offset, len)` on a page whose free space ends at
+    /// `free_end`: [`SlotError::NoSuchSlot`] past the directory or at a
+    /// tombstone, [`SlotError::Corrupt`] for a body outside the record
+    /// area `free_end..PAGE_SIZE`.
+    fn live_slot(&self, i: u16, free_end: usize) -> Result<(usize, usize), SlotError> {
+        match self.slot(i) {
+            Some((off, len)) if off != 0 => {
+                if free_end <= off && off + len <= PAGE_SIZE {
+                    Ok((off, len))
+                } else {
+                    Err(SlotError::Corrupt)
+                }
+            }
+            _ => Err(SlotError::NoSuchSlot),
+        }
+    }
+
     /// Contiguous free bytes between the slot directory and record data.
     pub fn contiguous_free(&self) -> usize {
         self.free_end().saturating_sub(self.free_start())
     }
 
     /// Free bytes recoverable by compaction (holes left by deletes/moves)
-    /// plus contiguous space.
-    pub fn total_free(&self) -> usize {
-        let live: usize = (0..self.slot_count())
-            .filter_map(|i| self.slot(i))
-            .filter(|&(off, _)| off != 0)
-            .map(|(_, len)| len)
-            .sum();
-        PAGE_SIZE - self.free_start() - live
+    /// plus contiguous space. [`SlotError::Corrupt`] unless every live body
+    /// lies in the record area and together they fit in it, which is what
+    /// makes [`SlottedPage::compact`] safe on the same bytes.
+    pub fn total_free(&self) -> Result<usize, SlotError> {
+        let (n, start, end) = self.header()?;
+        let mut live = 0;
+        for i in 0..n {
+            match self.live_slot(i, end) {
+                Ok((_, len)) => live += len,
+                Err(SlotError::NoSuchSlot) => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if live > PAGE_SIZE - end {
+            return Err(SlotError::Corrupt);
+        }
+        Ok(PAGE_SIZE - start - live)
     }
 
     /// Would an insert of `len` bytes succeed (possibly via compaction)?
     pub fn can_insert(&self, len: usize) -> bool {
-        let need_slot = if self.first_free_slot().is_some() {
+        let Ok((n, _, _)) = self.header() else {
+            return false;
+        };
+        let need_slot = if self.first_free_slot(n).is_some() {
             0
         } else {
             SLOT_BYTES
         };
-        len + need_slot <= self.total_free() && len <= MAX_RECORD
+        self.total_free()
+            .is_ok_and(|free| len + need_slot <= free && len <= MAX_RECORD)
     }
 
-    /// The lowest tombstoned slot (offset 0), in one pass over the
-    /// directory bytes.
-    fn first_free_slot(&self) -> Option<u16> {
-        let dir = &self.b()[HEADER..HEADER + self.slot_count() as usize * SLOT_BYTES];
+    /// The lowest tombstoned slot (offset 0) among the `n` a checked header
+    /// counts, in one pass over the directory bytes.
+    fn first_free_slot(&self, n: u16) -> Option<u16> {
+        let dir = &self.b()[HEADER..HEADER + n as usize * SLOT_BYTES];
         dir.chunks_exact(SLOT_BYTES)
             .position(|slot| slot[0] == 0 && slot[1] == 0)
             .map(|i| i as u16)
     }
 
     /// Slide all live records to the back of the page, eliminating holes.
+    /// Callers run [`SlottedPage::total_free`] on the same bytes first.
     fn compact(&mut self) {
         let n = self.slot_count();
         // Collect live records (slot, bytes) — copying is fine at 8 KiB.
@@ -208,18 +256,48 @@ impl<'a> SlottedPage<'a> {
         put_u16(self.bm(), OFF_FREE_END, cursor as u16);
     }
 
+    /// Place `rec` at the back of free space and point `slot` at it. The
+    /// caller has made `rec.len()` contiguous bytes free.
+    fn place(&mut self, slot: u16, rec: &[u8]) {
+        let end = self.free_end();
+        let start = end - rec.len();
+        self.bm()[start..end].copy_from_slice(rec);
+        put_u16(self.bm(), OFF_FREE_END, start as u16);
+        self.set_slot(slot, start as u16, rec.len() as u16);
+    }
+
     /// Insert a record; returns its slot number: the lowest tombstoned
     /// slot, else a new one at the end of the directory.
     pub fn insert(&mut self, rec: &[u8]) -> Result<u16, SlotError> {
+        self.insert_memo(rec, &mut false)
+    }
+
+    /// [`SlottedPage::insert`] with a memo of "this page holds no
+    /// tombstone". Where `*no_tombstone` is true the insert appends without
+    /// scanning the directory for one; either way it leaves the memo true
+    /// exactly when it knows the page holds none afterwards. The caller
+    /// keeps the memo with the page and forgets it (sets it false) on any
+    /// write that does not go through here.
+    pub fn insert_memo(&mut self, rec: &[u8], no_tombstone: &mut bool) -> Result<u16, SlotError> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        let reuse = self.first_free_slot();
+        let (n, start, end) = self.header()?;
+        let reuse = if *no_tombstone {
+            debug_assert_eq!(self.first_free_slot(n), None, "stale no-tombstone memo");
+            None
+        } else {
+            self.first_free_slot(n)
+        };
+        // Whether it fails or succeeds, an insert that found no tombstone
+        // leaves none (appending and compacting make no tombstones); one
+        // that fills a tombstone may leave others.
+        *no_tombstone = reuse.is_none();
         let need = rec.len() + if reuse.is_some() { 0 } else { SLOT_BYTES };
         // Contiguous space never exceeds total free space, so the O(slots)
         // sum behind `total_free` is only needed when it falls short.
-        if self.contiguous_free() < need {
-            if self.total_free() < need {
+        if end - start < need {
+            if self.total_free()? < need {
                 return Err(SlotError::PageFull);
             }
             self.compact();
@@ -227,18 +305,12 @@ impl<'a> SlottedPage<'a> {
         let slot = match reuse {
             Some(s) => s,
             None => {
-                let s = self.slot_count();
-                put_u16(self.bm(), OFF_NSLOTS, s + 1);
-                let fs = self.free_start() + SLOT_BYTES;
-                put_u16(self.bm(), OFF_FREE_START, fs as u16);
-                s
+                put_u16(self.bm(), OFF_NSLOTS, n + 1);
+                put_u16(self.bm(), OFF_FREE_START, (start + SLOT_BYTES) as u16);
+                n
             }
         };
-        let end = self.free_end();
-        let start = end - rec.len();
-        self.bm()[start..end].copy_from_slice(rec);
-        put_u16(self.bm(), OFF_FREE_END, start as u16);
-        self.set_slot(slot, start as u16, rec.len() as u16);
+        self.place(slot, rec);
         Ok(slot)
     }
 
@@ -261,22 +333,17 @@ impl<'a> SlottedPage<'a> {
 
     /// Delete a record, tombstoning its slot for reuse.
     pub fn delete(&mut self, slot: u16) -> Result<(), SlotError> {
-        match self.slot(slot) {
-            Some((off, _)) if off != 0 => {
-                self.set_slot(slot, 0, 0);
-                Ok(())
-            }
-            _ => Err(SlotError::NoSuchSlot),
-        }
+        let (_, _, end) = self.header()?;
+        self.live_slot(slot, end)?;
+        self.set_slot(slot, 0, 0);
+        Ok(())
     }
 
     /// Update a record in place. Fits-in-place updates reuse the body;
     /// growing updates are delete+insert into the same slot (may compact).
     pub fn update(&mut self, slot: u16, rec: &[u8]) -> Result<(), SlotError> {
-        let (off, len) = match self.slot(slot) {
-            Some((off, len)) if off != 0 => (off, len),
-            _ => return Err(SlotError::NoSuchSlot),
-        };
+        let (_, _, end) = self.header()?;
+        let (off, len) = self.live_slot(slot, end)?;
         if rec.len() <= len {
             self.bm()[off..off + rec.len()].copy_from_slice(rec);
             self.set_slot(slot, off as u16, rec.len() as u16);
@@ -285,22 +352,16 @@ impl<'a> SlottedPage<'a> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        // Grow: tombstone, check room, re-insert at the same slot.
-        self.set_slot(slot, 0, 0);
-        let fits = rec.len() <= self.total_free();
-        if !fits {
-            // Roll back the tombstone.
-            self.set_slot(slot, off as u16, len as u16);
+        // Grow: the room there would be with this slot tombstoned decides;
+        // a page too full is left as it was.
+        if rec.len() > self.total_free()? + len {
             return Err(SlotError::PageFull);
         }
+        self.set_slot(slot, 0, 0);
         if self.contiguous_free() < rec.len() {
             self.compact();
         }
-        let end = self.free_end();
-        let start = end - rec.len();
-        self.bm()[start..end].copy_from_slice(rec);
-        put_u16(self.bm(), OFF_FREE_END, start as u16);
-        self.set_slot(slot, start as u16, rec.len() as u16);
+        self.place(slot, rec);
         Ok(())
     }
 
@@ -312,39 +373,36 @@ impl<'a> SlottedPage<'a> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
-        if slot < self.slot_count() {
-            if self.slot(slot).is_some_and(|(off, _)| off != 0) {
-                return self.update(slot, rec);
+        let (n, start, end) = self.header()?;
+        if slot < n {
+            match self.live_slot(slot, end) {
+                Ok(_) => return self.update(slot, rec),
+                Err(SlotError::NoSuchSlot) => {}
+                Err(e) => return Err(e),
             }
         } else {
             // Grow the directory up to and including `slot`.
-            let grow = (slot + 1 - self.slot_count()) as usize * SLOT_BYTES;
-            if self.total_free() < grow + rec.len() {
+            let grow = (usize::from(slot) + 1 - usize::from(n)) * SLOT_BYTES;
+            if self.total_free()? < grow + rec.len() {
                 return Err(SlotError::PageFull);
             }
-            if self.contiguous_free() < grow {
+            if end - start < grow {
                 self.compact();
             }
-            let old = self.slot_count();
             put_u16(self.bm(), OFF_NSLOTS, slot + 1);
-            let fs = self.free_start() + grow;
-            put_u16(self.bm(), OFF_FREE_START, fs as u16);
-            for s in old..=slot {
+            put_u16(self.bm(), OFF_FREE_START, (start + grow) as u16);
+            for s in n..=slot {
                 self.set_slot(s, 0, 0);
             }
         }
         // Slot exists and is a tombstone: place the body.
         if self.contiguous_free() < rec.len() {
-            if self.total_free() < rec.len() {
+            if self.total_free()? < rec.len() {
                 return Err(SlotError::PageFull);
             }
             self.compact();
         }
-        let end = self.free_end();
-        let start = end - rec.len();
-        self.bm()[start..end].copy_from_slice(rec);
-        put_u16(self.bm(), OFF_FREE_END, start as u16);
-        self.set_slot(slot, start as u16, rec.len() as u16);
+        self.place(slot, rec);
         Ok(())
     }
 
@@ -413,7 +471,7 @@ mod tests {
         // 8192 - 16 header over (100 + 4) per record ≈ 78 records.
         assert!(n >= 75, "n={n}");
         assert!(!sp.can_insert(100));
-        assert!(sp.can_insert(1) || sp.total_free() < 5);
+        assert!(sp.can_insert(1) || sp.total_free().unwrap() < 5);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //! a crash, every disk page must be byte-identical to either the zero page
 //! (never written back) or one of the logged images — never a torn,
 //! blended, or unlogged state.
+//!
+//! The heap's no-tombstone memo lives in the pool's frames; the last test
+//! holds a heap inserting through it to one that scans every time.
 
 use bionic_storage::bufferpool::{Access, BufferPool, PoolStats};
 use bionic_storage::disk::DiskManager;
-use bionic_storage::page::{Page, PageId};
-use bionic_storage::slotted::SlottedPage;
+use bionic_storage::heap::{HeapFile, HeapFootprint};
+use bionic_storage::page::{Page, PageId, RecordId};
+use bionic_storage::slotted::{SlotError, SlottedPage};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -422,5 +426,221 @@ proptest! {
         // The next victim: one more fault evicts the same frame in both.
         prop_assert_eq!(peeked.allocate_page(), plain.allocate_page());
         prop_assert_eq!(observe(&peeked, &ids), observe(&plain, &ids));
+    }
+}
+
+/// Count one access into a footprint, as `HeapFile` does.
+fn tally(fp: &mut HeapFootprint, a: Access) {
+    fp.pages_touched += 1;
+    if a.hit {
+        fp.pool_hits += 1;
+    } else {
+        fp.pool_misses += 1;
+    }
+    if a.evicted_dirty {
+        fp.dirty_evictions += 1;
+    }
+}
+
+type HeapResult = Result<(RecordId, HeapFootprint), SlotError>;
+
+/// `HeapFile::insert` without the memo: the tail page is reached through
+/// plain `with_page_mut`, and every insert scans its directory.
+fn scan_insert(heap: &mut HeapFile, pool: &mut BufferPool, rec: &[u8]) -> HeapResult {
+    let mut fp = HeapFootprint::default();
+    if let Some(&last) = heap.page_ids().last() {
+        let (result, access) = pool.with_page_mut(last, |pg| SlottedPage::attach(pg).insert(rec));
+        tally(&mut fp, access);
+        match result {
+            Ok(slot) => return Ok((RecordId::new(last, slot), fp)),
+            Err(SlotError::PageFull) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    let (pid, access) = pool.allocate_page();
+    tally(&mut fp, access);
+    fp.allocated_page = true;
+    heap.adopt_page(pid);
+    let (result, access) = pool.with_page_mut(pid, |pg| SlottedPage::init(pg).insert(rec));
+    tally(&mut fp, access);
+    result.map(|slot| (RecordId::new(pid, slot), fp))
+}
+
+/// `HeapFile::update` whose relocating path inserts through [`scan_insert`].
+fn scan_update(
+    heap: &mut HeapFile,
+    pool: &mut BufferPool,
+    rid: RecordId,
+    rec: &[u8],
+) -> HeapResult {
+    let mut fp = HeapFootprint::default();
+    let (result, access) =
+        pool.with_page_mut(rid.page, |pg| SlottedPage::attach(pg).update(rid.slot, rec));
+    tally(&mut fp, access);
+    match result {
+        Ok(()) => Ok((rid, fp)),
+        Err(SlotError::PageFull) => {
+            let (del, access) =
+                pool.with_page_mut(rid.page, |pg| SlottedPage::attach(pg).delete(rid.slot));
+            tally(&mut fp, access);
+            del?;
+            let (new_rid, ins) = scan_insert(heap, pool, rec)?;
+            fp.merge(ins);
+            Ok((new_rid, fp))
+        }
+        Err(e) => Err(e),
+    }
+}
+
+#[derive(Debug, Clone)]
+enum MemoOp {
+    /// Insert `len` bytes of `fill`.
+    Insert(usize, u8),
+    /// Delete one of the eight newest rids.
+    Delete(usize),
+    /// Update one of the eight newest rids to `len` bytes (grow or shrink).
+    Update(usize, usize, u8),
+    /// Install at `slot` of one of the three newest pages: past the
+    /// directory's end, into a tombstone, or over a live record.
+    Install(usize, u16, usize, u8),
+    /// Zero `slot`'s directory entry with a raw byte write.
+    RawTombstone(usize, u16),
+    /// Stamp a page's LSN with a raw byte write.
+    RawLsn(usize, u64),
+    /// Read a page (moves the CLOCK).
+    Read(usize),
+    FlushSome(usize),
+    /// Allocate a page outside the heap, evicting one of the heap's.
+    Evict,
+}
+
+fn memo_op() -> impl Strategy<Value = MemoOp> {
+    // Bodies up to ~1 KiB fill a page in a dozen inserts; 2-4 frames make
+    // the tail page leave the pool and come back often.
+    prop_oneof![
+        (0usize..1100, any::<u8>()).prop_map(|(len, fill)| MemoOp::Insert(len, fill)),
+        (0usize..1100, any::<u8>()).prop_map(|(len, fill)| MemoOp::Insert(len, fill)),
+        (0usize..1100, any::<u8>()).prop_map(|(len, fill)| MemoOp::Insert(len, fill)),
+        (0usize..8).prop_map(MemoOp::Delete),
+        (0usize..8).prop_map(MemoOp::Delete),
+        (0usize..8, 0usize..2000, any::<u8>())
+            .prop_map(|(i, len, fill)| MemoOp::Update(i, len, fill)),
+        (0usize..3, 0u16..24, 0usize..600, any::<u8>())
+            .prop_map(|(p, slot, len, fill)| MemoOp::Install(p, slot, len, fill)),
+        (0usize..3, 0u16..24).prop_map(|(p, slot)| MemoOp::RawTombstone(p, slot)),
+        (0usize..3, any::<u64>()).prop_map(|(p, lsn)| MemoOp::RawLsn(p, lsn)),
+        (0usize..3).prop_map(MemoOp::Read),
+        (0usize..4).prop_map(MemoOp::FlushSome),
+        Just(MemoOp::Evict),
+        Just(MemoOp::Evict),
+    ]
+}
+
+/// One of the `within` newest entries of `items`.
+fn newest<T: Copy>(items: &[T], i: usize, within: usize) -> Option<T> {
+    let n = items.len().min(within);
+    (n > 0).then(|| items[items.len() - 1 - i % n])
+}
+
+/// The images of the resident pages among `ids`.
+fn images(pool: &BufferPool, ids: &[PageId]) -> Vec<Option<Vec<u8>>> {
+    ids.iter()
+        .map(|&id| pool.peek(id).map(|pg| pg.bytes().to_vec()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memo_inserts_match_scanning_inserts(
+        ops in prop::collection::vec(memo_op(), 1..300),
+        capacity in 2usize..5,
+    ) {
+        // Twin pools on the same traffic: `memo` inserts through
+        // `HeapFile::insert`, `scan` through plain `with_page_mut`.
+        let (mut memo_pool, mut scan_pool) = (
+            BufferPool::new(capacity, DiskManager::new()),
+            BufferPool::new(capacity, DiskManager::new()),
+        );
+        let (mut memo_heap, mut scan_heap) = (HeapFile::new(), HeapFile::new());
+        let mut rids: Vec<RecordId> = Vec::new();
+
+        for op in ops {
+            let page = |i: usize| newest(memo_heap.page_ids(), i, 3);
+            match op {
+                MemoOp::Insert(len, fill) => {
+                    let rec = vec![fill; len];
+                    let got = memo_heap.insert(&mut memo_pool, &rec);
+                    prop_assert_eq!(got, scan_insert(&mut scan_heap, &mut scan_pool, &rec));
+                    rids.extend(got.ok().map(|(rid, _)| rid));
+                }
+                MemoOp::Delete(i) => {
+                    let Some(rid) = newest(&rids, i, 8) else { continue };
+                    let got = memo_heap.delete(&mut memo_pool, rid);
+                    prop_assert_eq!(got, scan_heap.delete(&mut scan_pool, rid));
+                }
+                MemoOp::Update(i, len, fill) => {
+                    let Some(rid) = newest(&rids, i, 8) else { continue };
+                    let rec = vec![fill; len];
+                    let got = memo_heap.update(&mut memo_pool, rid, &rec);
+                    prop_assert_eq!(got, scan_update(&mut scan_heap, &mut scan_pool, rid, &rec));
+                    rids.extend(got.ok().map(|(rid, _)| rid));
+                }
+                MemoOp::Install(p, slot, len, fill) => {
+                    let Some(pid) = page(p) else { continue };
+                    let rec = vec![fill; len];
+                    let install = |pool: &mut BufferPool| {
+                        pool.with_page_mut(pid, |pg| SlottedPage::attach(pg).install(slot, &rec))
+                    };
+                    let got = install(&mut memo_pool);
+                    prop_assert_eq!(got, install(&mut scan_pool));
+                    if got.0.is_ok() {
+                        rids.push(RecordId::new(pid, slot));
+                    }
+                }
+                MemoOp::RawTombstone(p, slot) => {
+                    let Some(pid) = page(p) else { continue };
+                    for pool in [&mut memo_pool, &mut scan_pool] {
+                        pool.with_page_mut(pid, |pg| {
+                            let b = pg.bytes_mut();
+                            if slot < u16::from_le_bytes([b[8], b[9]]) {
+                                let at = 16 + usize::from(slot) * 4;
+                                b[at..at + 4].fill(0);
+                            }
+                        });
+                    }
+                }
+                MemoOp::RawLsn(p, lsn) => {
+                    let Some(pid) = page(p) else { continue };
+                    for pool in [&mut memo_pool, &mut scan_pool] {
+                        pool.with_page_mut(pid, |pg| SlottedPage::attach(pg).set_lsn(lsn));
+                    }
+                }
+                MemoOp::Read(p) => {
+                    let Some(pid) = page(p) else { continue };
+                    prop_assert_eq!(
+                        memo_pool.with_page(pid, |pg| pg.bytes()[..64].to_vec()),
+                        scan_pool.with_page(pid, |pg| pg.bytes()[..64].to_vec())
+                    );
+                }
+                MemoOp::FlushSome(n) => {
+                    prop_assert_eq!(memo_pool.flush_some(n), scan_pool.flush_some(n));
+                }
+                MemoOp::Evict => {
+                    prop_assert_eq!(memo_pool.allocate_page(), scan_pool.allocate_page());
+                }
+            }
+            let ids = memo_heap.page_ids();
+            prop_assert_eq!(ids, scan_heap.page_ids());
+            prop_assert_eq!(observe(&memo_pool, ids), observe(&scan_pool, ids));
+            prop_assert_eq!(images(&memo_pool, ids), images(&scan_pool, ids));
+        }
+
+        // What a flush writes agrees too.
+        let (mut memo_disk, mut scan_disk) = (memo_pool.into_disk(), scan_pool.into_disk());
+        for id in memo_heap.page_ids() {
+            prop_assert!(memo_disk.read(*id).bytes() == scan_disk.read(*id).bytes(), "{:?}", id);
+        }
     }
 }

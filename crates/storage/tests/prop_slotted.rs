@@ -220,3 +220,73 @@ proptest! {
         prop_assert_eq!(live, expect);
     }
 }
+
+#[derive(Debug, Clone)]
+enum WriteOp {
+    Insert(usize, u8),
+    Update(u16, usize, u8),
+    Install(u16, usize, u8),
+    Delete(u16),
+}
+
+/// A slot inside or just past a plausible directory, or any slot at all.
+fn any_slot() -> impl Strategy<Value = u16> {
+    prop_oneof![0u16..48, any::<u16>()]
+}
+
+fn write_op() -> impl Strategy<Value = WriteOp> {
+    prop_oneof![
+        (0usize..1100, any::<u8>()).prop_map(|(len, fill)| WriteOp::Insert(len, fill)),
+        (any_slot(), 0usize..1100, any::<u8>())
+            .prop_map(|(slot, len, fill)| WriteOp::Update(slot, len, fill)),
+        (any_slot(), 0usize..1100, any::<u8>())
+            .prop_map(|(slot, len, fill)| WriteOp::Install(slot, len, fill)),
+        any_slot().prop_map(WriteOp::Delete),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn writes_to_arbitrary_page_bytes_never_panic(
+        page in hostile_page(),
+        ops in prop::collection::vec(write_op(), 1..24),
+    ) {
+        // Whatever the header and directory say, a writer either does what
+        // it promises or returns an error; it never indexes out of the page.
+        let mut page = page;
+        for op in ops {
+            let mut sp = SlottedPage::attach(&mut page);
+            let _ = (sp.total_free(), sp.can_insert(64), sp.can_insert(0));
+            let (slot, rec, done) = match op {
+                WriteOp::Insert(len, fill) => {
+                    let rec = vec![fill; len];
+                    let got = sp.insert(&rec);
+                    (got.unwrap_or(0), rec, got.is_ok())
+                }
+                WriteOp::Update(slot, len, fill) => {
+                    let rec = vec![fill; len];
+                    let done = sp.update(slot, &rec).is_ok();
+                    (slot, rec, done)
+                }
+                WriteOp::Install(slot, len, fill) => {
+                    let rec = vec![fill; len];
+                    let done = sp.install(slot, &rec).is_ok();
+                    (slot, rec, done)
+                }
+                WriteOp::Delete(slot) => {
+                    if sp.delete(slot).is_ok() {
+                        prop_assert_eq!(sp.get(slot), Err(SlotError::NoSuchSlot));
+                    }
+                    continue;
+                }
+            };
+            if done {
+                prop_assert_eq!(sp.get(slot), Ok(&rec[..]), "{:?}", op);
+            }
+        }
+        let sp = SlottedPage::attach(&mut page);
+        let _ = sp.iter().count();
+    }
+}

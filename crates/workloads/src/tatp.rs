@@ -157,44 +157,45 @@ pub fn load(engine: &mut Engine, cfg: &TatpConfig) -> TatpTables {
         call_forwarding: engine.create_table("CALL_FORWARDING"),
     };
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    // One body buffer per table, every byte redrawn for each row.
+    let mut sub = [0u8; layout::SUB_BODY];
+    let mut ai = [0u8; layout::AI_BODY];
+    let mut sf = [0u8; layout::SF_BODY];
+    let mut cf = [0u8; layout::CF_BODY];
     for s_id in 1..=cfg.subscribers {
-        let mut body = vec![0u8; layout::SUB_BODY];
-        rng.fill(&mut body[..]);
-        body[layout::SUB_VLR_LOCATION - 8..layout::SUB_VLR_LOCATION]
+        rng.fill(&mut sub[..]);
+        sub[layout::SUB_VLR_LOCATION - 8..layout::SUB_VLR_LOCATION]
             .copy_from_slice(&rng.gen_range(0i64..1 << 31).to_le_bytes());
         // The record image is key(8) || body, so body offsets are -8.
-        body[layout::SUB_NBR - 8..layout::SUB_NBR].copy_from_slice(&sub_nbr(s_id).to_le_bytes());
-        engine.load(tables.subscriber, s_id, &body);
+        sub[layout::SUB_NBR - 8..layout::SUB_NBR].copy_from_slice(&sub_nbr(s_id).to_le_bytes());
+        engine.load(tables.subscriber, s_id, &sub);
 
         // 1..=4 ACCESS_INFO rows with distinct ai_types.
         let n_ai = rng.gen_range(1..=4);
         for ai_type in 1..=n_ai {
-            let mut body = vec![0u8; layout::AI_BODY];
-            rng.fill(&mut body[..]);
-            engine.load(tables.access_info, keys::access_info(s_id, ai_type), &body);
+            rng.fill(&mut ai[..]);
+            engine.load(tables.access_info, keys::access_info(s_id, ai_type), &ai);
         }
 
         // 1..=4 SPECIAL_FACILITY rows; for each, 0..=3 CALL_FORWARDING rows.
         let n_sf = rng.gen_range(1..=4);
         for sf_type in 1..=n_sf {
-            let mut body = vec![0u8; layout::SF_BODY];
-            rng.fill(&mut body[..]);
-            body[0] = u8::from(rng.gen_bool(0.85)); // is_active
+            rng.fill(&mut sf[..]);
+            sf[0] = u8::from(rng.gen_bool(0.85)); // is_active
             engine.load(
                 tables.special_facility,
                 keys::special_facility(s_id, sf_type),
-                &body,
+                &sf,
             );
             let n_cf = rng.gen_range(0..=3);
-            for cf in 0..n_cf {
-                let start_time = cf * 8;
-                let mut body = vec![0u8; layout::CF_BODY];
-                rng.fill(&mut body[..]);
-                body[0] = (start_time + 8) as u8; // end_time
+            for cf_n in 0..n_cf {
+                let start_time = cf_n * 8;
+                rng.fill(&mut cf[..]);
+                cf[0] = (start_time + 8) as u8; // end_time
                 engine.load(
                     tables.call_forwarding,
                     keys::call_forwarding(s_id, sf_type, start_time),
-                    &body,
+                    &cf,
                 );
             }
         }

@@ -218,43 +218,47 @@ pub fn load(engine: &mut Engine, cfg: &TpccConfig) -> (TpccTables, TpccGenerator
         stock: engine.create_table("STOCK"),
     };
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
+    // One body buffer per table. Each row redraws or rewrites every byte
+    // the loader ever sets, and the rest stay zero.
+    let mut item = [0u8; layout::I_BODY];
+    let mut warehouse = [0u8; layout::W_BODY];
+    let mut stock = [0u8; layout::S_BODY];
+    let mut district = [0u8; layout::D_BODY];
+    let mut customer = [0u8; layout::C_BODY];
+    let mut order = [0u8; layout::O_BODY];
+    let mut orderline = [0u8; layout::OL_BODY];
 
     for i in 1..=cfg.items {
-        let mut body = vec![0u8; layout::I_BODY];
-        rng.fill(&mut body[..]);
-        body[..8].copy_from_slice(&rng.gen_range(100i64..10_000).to_le_bytes()); // price
-        engine.load(tables.item, i, &body);
+        rng.fill(&mut item[..]);
+        item[..8].copy_from_slice(&rng.gen_range(100i64..10_000).to_le_bytes()); // price
+        engine.load(tables.item, i, &item);
     }
 
     let mut districts = Vec::new();
     for w in 0..cfg.warehouses {
-        let mut body = vec![0u8; layout::W_BODY];
-        rng.fill(&mut body[..]);
-        body[..8].copy_from_slice(&0i64.to_le_bytes()); // ytd
-        engine.load(tables.warehouse, w, &body);
+        rng.fill(&mut warehouse[..]);
+        warehouse[..8].copy_from_slice(&0i64.to_le_bytes()); // ytd
+        engine.load(tables.warehouse, w, &warehouse);
 
         for i in 1..=cfg.items {
-            let mut body = vec![0u8; layout::S_BODY];
-            rng.fill(&mut body[..]);
-            body[..8].copy_from_slice(&rng.gen_range(10i64..100).to_le_bytes()); // qty
-            engine.load(tables.stock, keys::stock(w, i), &body);
+            rng.fill(&mut stock[..]);
+            stock[..8].copy_from_slice(&rng.gen_range(10i64..100).to_le_bytes()); // qty
+            engine.load(tables.stock, keys::stock(w, i), &stock);
         }
 
         for d in 0..DISTRICTS {
             let dk = keys::district(w, d);
-            let mut body = vec![0u8; layout::D_BODY];
-            rng.fill(&mut body[..]);
-            body[..8].copy_from_slice(&0i64.to_le_bytes()); // ytd
-            body[8..16].copy_from_slice(&(cfg.initial_orders + 1).to_le_bytes()); // next_o_id
-            engine.load(tables.district, dk, &body);
+            rng.fill(&mut district[..]);
+            district[..8].copy_from_slice(&0i64.to_le_bytes()); // ytd
+            district[8..16].copy_from_slice(&(cfg.initial_orders + 1).to_le_bytes()); // next_o_id
+            engine.load(tables.district, dk, &district);
 
             for c in 0..cfg.customers_per_district {
-                let mut body = vec![0u8; layout::C_BODY];
-                rng.fill(&mut body[..]);
-                body[..8].copy_from_slice(&(-1000i64).to_le_bytes()); // balance
-                body[8..16].copy_from_slice(&10i64.to_le_bytes()); // ytd
-                body[16..24].copy_from_slice(&1i64.to_le_bytes()); // payment_cnt
-                engine.load(tables.customer, keys::customer(w, d, c), &body);
+                rng.fill(&mut customer[..]);
+                customer[..8].copy_from_slice(&(-1000i64).to_le_bytes()); // balance
+                customer[8..16].copy_from_slice(&10i64.to_le_bytes()); // ytd
+                customer[16..24].copy_from_slice(&1i64.to_le_bytes()); // payment_cnt
+                engine.load(tables.customer, keys::customer(w, d, c), &customer);
             }
 
             let mut state = DistrictState {
@@ -267,19 +271,17 @@ pub fn load(engine: &mut Engine, cfg: &TpccConfig) -> (TpccTables, TpccGenerator
                 let c = rng.gen_range(0..cfg.customers_per_district);
                 let ol_cnt = rng.gen_range(5..=15i64);
                 let ok = keys::order(w, d, o_id);
-                let mut body = vec![0u8; layout::O_BODY];
                 let delivered = o_id <= cfg.initial_orders * 7 / 10;
-                body[..8].copy_from_slice(&if delivered { 5i64 } else { 0 }.to_le_bytes());
-                body[8..16].copy_from_slice(&ol_cnt.to_le_bytes());
-                engine.load(tables.order, ok, &body);
+                order[..8].copy_from_slice(&if delivered { 5i64 } else { 0 }.to_le_bytes());
+                order[8..16].copy_from_slice(&ol_cnt.to_le_bytes());
+                engine.load(tables.order, ok, &order);
                 let mut items = Vec::with_capacity(ol_cnt as usize);
                 for line in 0..ol_cnt {
                     let item = rng.gen_range(1..=cfg.items);
                     items.push(item);
-                    let mut body = vec![0u8; layout::OL_BODY];
-                    body[..8].copy_from_slice(&0i64.to_le_bytes()); // delivery_d
-                    body[8..16].copy_from_slice(&rng.gen_range(10i64..10_000).to_le_bytes());
-                    engine.load(tables.orderline, keys::orderline(ok, line), &body);
+                    orderline[..8].copy_from_slice(&0i64.to_le_bytes()); // delivery_d
+                    orderline[8..16].copy_from_slice(&rng.gen_range(10i64..10_000).to_le_bytes());
+                    engine.load(tables.orderline, keys::orderline(ok, line), &orderline);
                 }
                 if !delivered {
                     engine.load(tables.neworder, ok, &[0u8; layout::NO_BODY]);
