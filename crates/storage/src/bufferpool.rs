@@ -197,7 +197,7 @@ impl BufferPool {
     /// leave it true only if the page it leaves holds no tombstoned slot
     /// (what [`crate::slotted::SlottedPage::insert_memo`] does). Same fault,
     /// footprint, statistics and dirtying as `with_page_mut`.
-    pub fn with_page_mut_memo<R>(
+    pub(crate) fn with_page_mut_memo<R>(
         &mut self,
         id: PageId,
         f: impl FnOnce(&mut Page, &mut bool) -> R,

@@ -193,7 +193,7 @@ impl<'a> SlottedPage<'a> {
     /// Free bytes recoverable by compaction (holes left by deletes/moves)
     /// plus contiguous space. [`SlotError::Corrupt`] unless every live body
     /// lies in the record area and together they fit in it, which is what
-    /// makes [`SlottedPage::compact`] safe on the same bytes.
+    /// makes compaction safe on the same bytes.
     pub fn total_free(&self) -> Result<usize, SlotError> {
         let (n, start, end) = self.header()?;
         let mut live = 0;
@@ -278,7 +278,11 @@ impl<'a> SlottedPage<'a> {
     /// exactly when it knows the page holds none afterwards. The caller
     /// keeps the memo with the page and forgets it (sets it false) on any
     /// write that does not go through here.
-    pub fn insert_memo(&mut self, rec: &[u8], no_tombstone: &mut bool) -> Result<u16, SlotError> {
+    pub(crate) fn insert_memo(
+        &mut self,
+        rec: &[u8],
+        no_tombstone: &mut bool,
+    ) -> Result<u16, SlotError> {
         if rec.len() > MAX_RECORD {
             return Err(SlotError::RecordTooLarge);
         }
